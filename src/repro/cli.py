@@ -24,11 +24,10 @@ Commands:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
-from repro.model.config import ENGINE_CHOICES, MachineConfig, named_configs
+from repro.model.config import MachineConfig, named_configs
 
 #: Name -> factory registry, shared with the campaign service so a job
 #: submitted by name resolves to the same configuration everywhere.
@@ -42,15 +41,6 @@ def _config_by_name(name: str) -> MachineConfig:
         raise SystemExit(
             f"unknown config {name!r}; choose from: {', '.join(_CONFIGS)}"
         )
-
-
-def _add_engine_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine", choices=ENGINE_CHOICES, default=None,
-        help="core engine: reference (the readable cycle loop) or fast "
-             "(bit-identical results, ~2x throughput); default: "
-             "$REPRO_ENGINE, then the config's engine field",
-    )
 
 
 def _cmd_table1(args: argparse.Namespace) -> None:
@@ -128,7 +118,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
             f"sampling {workload.name} ({len(workload.trace()):,} instructions, "
             f"plan {plan.key()}) on {config.name} ..."
         )
-        result = PerformanceModel(config, engine=args.engine).run_sampled(
+        result = PerformanceModel(config).run_sampled(
             workload.trace(), plan, regions=workload.regions()
         )
         print(result.summary())
@@ -144,7 +134,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
 
     print(f"simulating {workload.name} ({args.timed:,} timed instructions) "
           f"on {config.name} ...")
-    result = PerformanceModel(config, engine=args.engine).run(
+    result = PerformanceModel(config).run(
         workload.trace(),
         warmup_fraction=workload.warmup_fraction,
         regions=workload.regions(),
@@ -187,17 +177,15 @@ def _cmd_profile(args: argparse.Namespace) -> None:
     import time
 
     from repro.analysis.workloads import workload_by_name
+    from repro.core.pipeline import ProcessorCore
     from repro.model.simulator import (
         build_hierarchy,
-        core_class,
         prewarm_regions,
-        resolve_engine,
         warm_structures,
     )
 
     workload = workload_by_name(args.workload, warm=args.warm, timed=args.timed)
     config = _config_by_name(args.config)
-    engine = resolve_engine(config, args.engine)
     trace = workload.trace()
     regions = workload.regions()
     split = int(len(trace) * workload.warmup_fraction)
@@ -205,7 +193,7 @@ def _cmd_profile(args: argparse.Namespace) -> None:
     timed_part = trace[split:] if split else trace
 
     hierarchy = build_hierarchy(config)
-    core = core_class(config, args.engine)(
+    core = ProcessorCore(
         timed_part, hierarchy, config.core, config.frontend, config.bht
     )
     if regions:
@@ -215,7 +203,7 @@ def _cmd_profile(args: argparse.Namespace) -> None:
 
     print(
         f"profiling {workload.name} ({len(timed_part):,} timed instructions) "
-        f"on {config.name}, engine {engine} ..."
+        f"on {config.name} ..."
     )
     profiler = cProfile.Profile()
     started = time.perf_counter()
@@ -534,7 +522,6 @@ def _cmd_smp(args: argparse.Namespace) -> None:
         traces,
         warmup_fraction=args.warm / total,
         regions_per_cpu=regions,
-        engine=args.engine,
     )
     for key, value in result.as_dict().items():
         print(f"{key:24s} {value}")
@@ -664,7 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: keep everything)",
     )
     _add_sampling_options(p_run)
-    _add_engine_option(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_profile = sub.add_parser(
@@ -682,7 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="pstats sort key (default cumulative)")
     p_profile.add_argument("--out", default=None, metavar="PATH",
                            help="also dump raw pstats data to PATH")
-    _add_engine_option(p_profile)
     p_profile.set_defaults(func=_cmd_profile)
 
     p_fig = sub.add_parser("figures", help="regenerate paper figures")
@@ -693,7 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--smp-cpus", type=int, default=16)
     _add_runner_options(p_fig)
     _add_sampling_options(p_fig)
-    _add_engine_option(p_fig)
     p_fig.set_defaults(func=_cmd_figures)
 
     p_sweeps = sub.add_parser("sweeps", help="run supplemental parameter sweeps")
@@ -705,7 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweeps.add_argument("--timed", type=int, default=25_000)
     _add_runner_options(p_sweeps)
     _add_sampling_options(p_sweeps)
-    _add_engine_option(p_sweeps)
     p_sweeps.set_defaults(func=_cmd_sweeps)
 
     p_analyze = sub.add_parser(
@@ -747,7 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_smp.add_argument("--warm", type=int, default=20_000)
     p_smp.add_argument("--timed", type=int, default=6_000)
     p_smp.add_argument("--seed", type=int, default=2003)
-    _add_engine_option(p_smp)
     p_smp.set_defaults(func=_cmd_smp)
 
     p_submit = sub.add_parser(
@@ -817,11 +799,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> None:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "engine", None):
-        # Commands that fan out through runners/workers (figures, sweeps)
-        # resolve the engine via the environment; worker processes
-        # inherit it.  Explicit PerformanceModel(engine=...) args win.
-        os.environ["REPRO_ENGINE"] = args.engine
     args.func(args)
 
 

@@ -14,41 +14,17 @@ on the remainder.  The timed region never sees its own future.
 
 from __future__ import annotations
 
-import os
 import time
-from typing import Optional, Type
+from typing import Optional
 
 from repro.common.errors import ConfigError
-from repro.core.fastcore import FastProcessorCore
 from repro.core.pipeline import ProcessorCore, functional_warm
 from repro.frontend.bht import BranchHistoryTable
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.model.config import ENGINE_CHOICES, MachineConfig
+from repro.model.config import MachineConfig
 from repro.model.stats import SampledSimResult, SimResult
 from repro.trace.sampling import SamplingPlan
 from repro.trace.stream import Trace
-
-#: Core engine registry: engine name -> ProcessorCore class.  Both
-#: engines implement identical semantics; see tests/test_engine_equivalence.
-CORE_ENGINES: dict = {
-    "reference": ProcessorCore,
-    "fast": FastProcessorCore,
-}
-
-
-def resolve_engine(config: MachineConfig, engine: Optional[str] = None) -> str:
-    """Pick the core engine: explicit arg > $REPRO_ENGINE > config field."""
-    choice = engine or os.environ.get("REPRO_ENGINE") or config.engine
-    if choice not in ENGINE_CHOICES:
-        raise ConfigError(
-            f"unknown engine {choice!r} (choices: {', '.join(ENGINE_CHOICES)})"
-        )
-    return choice
-
-
-def core_class(config: MachineConfig, engine: Optional[str] = None) -> Type[ProcessorCore]:
-    """The ProcessorCore implementation selected for ``config``."""
-    return CORE_ENGINES[resolve_engine(config, engine)]
 
 
 def build_hierarchy(config: MachineConfig, cpu: int = 0, **shared) -> MemoryHierarchy:
@@ -139,15 +115,12 @@ def warm_structures(
 class PerformanceModel:
     """Configurable trace-driven uniprocessor simulator.
 
-    ``engine`` selects the core implementation ("reference" or "fast");
-    when None the ``REPRO_ENGINE`` environment variable and then the
-    config's ``engine`` field decide.  Both engines are bit-identical.
+    Every run drives a :class:`~repro.core.pipeline.ProcessorCore` built
+    from ``config``; the same core serves the SMP model and sampling.
     """
 
-    def __init__(self, config: MachineConfig, engine: Optional[str] = None) -> None:
+    def __init__(self, config: MachineConfig) -> None:
         self.config = config
-        self.engine = resolve_engine(config, engine)
-        self._core_cls = CORE_ENGINES[self.engine]
 
     def run(
         self,
@@ -179,7 +152,7 @@ class PerformanceModel:
         if config.perfect_branch_prediction and not frontend.perfect_prediction:
             frontend = FrontEndParamsWithPerfect(frontend)
 
-        core = self._core_cls(
+        core = ProcessorCore(
             timed_part, hierarchy, config.core, frontend, config.bht
         )
         if tracer is not None:
@@ -281,7 +254,7 @@ class PerformanceModel:
                 name=f"{trace.name}#w{window.index}",
                 cpu=trace.cpu,
             )
-            core = self._core_cls(
+            core = ProcessorCore(
                 window_trace, hierarchy, config.core, frontend, config.bht, bht=bht
             )
             detailed += len(window_trace)

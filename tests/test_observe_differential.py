@@ -7,6 +7,9 @@ analog and the trace-driven performance model.  For every seed/profile
 draw the two paths must agree on cycles *and* produce byte-identical CPI
 stacks — the accountant is a pure function of pipeline state, so any
 divergence is an observability bug even when the timing matches.
+The determinism property is also checked on random small machines
+(issue width, window, RS/LSQ sizes, forwarding, perfect prediction,
+prefetch) so the core is driven on shapes no named configuration covers.
 
 Hypothesis draws are seeded and bounded (small traces, few examples) so
 the suite stays CI-fast while still exploring the profile × seed space.
@@ -14,9 +17,12 @@ the suite stays CI-fast while still exploring the profile × seed space.
 
 from __future__ import annotations
 
+import dataclasses
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.frontend.bht import BHT_4K_2W_1T, BHT_16K_4W_2T
 from repro.model.config import base_config
 from repro.model.simulator import PerformanceModel
 from repro.observe.cpistack import total
@@ -56,21 +62,75 @@ def test_paths_agree_on_cycles_and_cpi_stack(profile, seed):
     assert total(result.core.cpi_stack) == result.cycles
 
 
-@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-@settings(
-    max_examples=6,
+@st.composite
+def small_configs(draw):
+    """Random small machines: the core on shapes the named configs skip."""
+    base = base_config()
+    issue = draw(st.sampled_from((2, 4)))
+    core = base.core.derived(
+        issue_width=issue,
+        commit_width=issue,
+        window_size=draw(st.sampled_from((16, 32, 64))),
+        rsa_entries=draw(st.sampled_from((4, 10))),
+        rsbr_entries=draw(st.sampled_from((3, 6))),
+        load_queue=draw(st.sampled_from((6, 16))),
+        store_queue=draw(st.sampled_from((5, 10))),
+        data_forwarding=draw(st.booleans()),
+    )
+    return base.derived(
+        "prop",
+        core=core,
+        bht=draw(st.sampled_from((BHT_4K_2W_1T, BHT_16K_4W_2T))),
+        perfect_branch_prediction=draw(st.booleans()),
+        prefetch=base.prefetch if draw(st.booleans()) else
+        dataclasses.replace(base.prefetch, enabled=False),
+    )
+
+
+_DETERMINISM_PROFILES = ("SPECint95", "SPECfp95", "TPC-C")
+
+_DETERMINISM_SETTINGS = settings(
+    max_examples=12,
     deadline=None,
     derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow],
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-def test_stack_is_deterministic(seed):
-    """The same trace simulated twice yields the identical stack."""
-    trace = generate_trace(standard_profiles()["SPECint95"], 500, seed=seed)
-    model = PerformanceModel(base_config())
-    first = model.run(Trace(trace.records, name="a"), warmup_fraction=0.0)
-    second = model.run(Trace(trace.records, name="b"), warmup_fraction=0.0)
+
+
+def _assert_deterministic_and_conserving(config, profile, seed, length):
+    trace = generate_trace(standard_profiles()[profile], length, seed=seed)
+    model = PerformanceModel(config)
+    first = model.run(Trace(trace.records, name="t"), warmup_fraction=0.2)
+    second = model.run(Trace(trace.records, name="t"), warmup_fraction=0.2)
+    assert first.as_dict(include_speed=False) == second.as_dict(
+        include_speed=False
+    )
     assert first.core.cpi_stack == second.core.cpi_stack
-    assert first.cycles == second.cycles
+    assert total(first.core.cpi_stack) == first.cycles
+
+
+@given(
+    profile=st.sampled_from(_DETERMINISM_PROFILES),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    length=st.integers(min_value=500, max_value=3_000),
+)
+@_DETERMINISM_SETTINGS
+def test_stack_is_deterministic(profile, seed, length):
+    """The same trace simulated twice on the base machine yields identical
+    results, and its CPI stack sums to the cycle count."""
+    _assert_deterministic_and_conserving(base_config(), profile, seed, length)
+
+
+@given(
+    config=small_configs(),
+    profile=st.sampled_from(_DETERMINISM_PROFILES),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    length=st.integers(min_value=500, max_value=3_000),
+)
+@_DETERMINISM_SETTINGS
+def test_random_small_machines_are_deterministic(config, profile, seed, length):
+    """The same property on random small machines."""
+    _assert_deterministic_and_conserving(config, profile, seed, length)
 
 
 @given(
