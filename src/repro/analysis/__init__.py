@@ -14,7 +14,6 @@ from repro.analysis.workloads import (
     workload_by_name,
 )
 from repro.analysis.cache import ResultCache
-from repro.analysis.campaign import CampaignManifest
 from repro.analysis.policy import RunPolicy
 from repro.analysis.runner import ExperimentRunner, ParallelRunner, RunnerStats
 from repro.analysis.figures import (
@@ -47,7 +46,6 @@ __all__ = [
     "ParallelRunner",
     "RunnerStats",
     "RunPolicy",
-    "CampaignManifest",
     "ResultCache",
     "CpiStackResult",
     "fig_cpistack",

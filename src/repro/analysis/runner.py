@@ -9,25 +9,21 @@ parameter cannot alias.
 
 :class:`ParallelRunner` extends the serial runner with
 
-- **fan-out**: :meth:`~ParallelRunner.prefetch` runs a batch of
-  independent (config, workload[, cpu_count]) simulations across worker
-  processes (``jobs=N``) via :class:`concurrent.futures.ProcessPoolExecutor`;
+- **fan-out**: :meth:`~ParallelRunner.prefetch` submits a batch of
+  independent (config, workload[, cpu_count]) simulations as jobs to
+  the runner's own :class:`~repro.service.service.CampaignService` and
+  drains it over ``jobs`` worker processes.  The service is the repo's
+  one fault-tolerant executor: per-run wall-clock timeouts with a
+  watchdog that kills and respawns a hung pool, bounded retries with
+  deterministic jittered backoff, and the
+  :class:`~repro.analysis.policy.RunPolicy` last resort (``retry``
+  in-process / ``fail`` loudly / ``skip`` and record);
 - **persistence**: results are memoised to disk through
   :class:`~repro.analysis.cache.ResultCache`, so regenerating a figure a
-  second time is near-instant;
-- **observability**: per-run wall-clock, worker id, and hit/miss
-  counters, with a ``verbose`` progress line per event;
-- **graceful degradation**: a crashed worker or corrupt cache entry
-  falls back to a fresh in-process run instead of aborting the sweep;
-- **fault tolerance**: a :class:`~repro.analysis.policy.RunPolicy`
-  adds per-run wall-clock timeouts with a watchdog that kills and
-  respawns a hung worker pool, bounded retries with deterministic
-  jittered backoff, and a configurable last-resort policy
-  (``retry`` in-process / ``fail`` loudly / ``skip`` and record);
-- **resume**: an optional
-  :class:`~repro.analysis.campaign.CampaignManifest` records every
-  completed (config, workload) key, so an interrupted campaign
-  restarted with the same manifest reports exactly what remains.
+  second time is near-instant, and rerunning an interrupted campaign
+  resumes from whatever it had finished;
+- **observability**: per-run wall-clock, worker id, and hit/miss,
+  retry, timeout and pool-restart counters.
 
 Determinism: the simulation depends only on (config, trace) and every
 trace is regenerated in the worker from an explicit seed
@@ -40,22 +36,14 @@ re-evaluated.
 from __future__ import annotations
 
 import os
+import tempfile
 import time
-from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait,
-)
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.cache import ResultCache
-from repro.analysis.campaign import CampaignManifest
 from repro.analysis.policy import RunPolicy
 from repro.analysis.workloads import Workload
-from repro.common import faults
 from repro.common.errors import ExperimentError
 from repro.model.config import MachineConfig
 from repro.model.simulator import PerformanceModel
@@ -96,44 +84,6 @@ def _run_smp(config: MachineConfig, workload: Workload, cpu_count: int) -> SmpRe
         warmup_fraction=workload.warmup_fraction,
         regions_per_cpu=regions,
     )
-
-
-#: Per-worker workload memo: workers live across tasks (the runner keeps
-#: its pool), so reusing the Workload object lets its generated trace be
-#: shared by every config simulated on the same worker.
-_worker_workloads: Dict[str, Workload] = {}
-_WORKER_WORKLOAD_LIMIT = 8
-
-
-def _memoised_workload(workload: Workload) -> Workload:
-    key = workload.cache_key()
-    cached = _worker_workloads.get(key)
-    if cached is not None and type(cached) is type(workload):
-        return cached
-    if len(_worker_workloads) >= _WORKER_WORKLOAD_LIMIT:
-        _worker_workloads.pop(next(iter(_worker_workloads)))
-    _worker_workloads[key] = workload
-    return workload
-
-
-def _up_worker(
-    config: MachineConfig, workload: Workload, attempt: int = 0
-) -> Tuple[dict, int, float]:
-    """Worker entry point: returns (result dict, worker pid, seconds)."""
-    faults.worker_fault(f"{workload.name}@{config.name}", attempt)
-    started = time.perf_counter()
-    result = _run_up(config, _memoised_workload(workload))
-    return result.to_dict(), os.getpid(), time.perf_counter() - started
-
-
-def _smp_worker(
-    config: MachineConfig, workload: Workload, cpu_count: int, attempt: int = 0
-) -> Tuple[dict, int, float]:
-    """Worker entry point for SMP runs."""
-    faults.worker_fault(f"{workload.name}x{cpu_count}P@{config.name}", attempt)
-    started = time.perf_counter()
-    result = _run_smp(config, _memoised_workload(workload), cpu_count)
-    return result.to_dict(), os.getpid(), time.perf_counter() - started
 
 
 @dataclass
@@ -314,15 +264,19 @@ class ExperimentRunner:
 class ParallelRunner(ExperimentRunner):
     """Multi-process experiment runner with a persistent disk cache.
 
-    ``jobs`` bounds the worker-process pool used by :meth:`prefetch`;
+    ``jobs`` bounds the worker pool :meth:`prefetch` drains through;
     individual :meth:`run`/:meth:`run_smp` calls always execute
     in-process (one simulation cannot be split), so figure and sweep
     code prefetches its whole (config × workload) matrix first and then
     reads results back through the ordinary serial interface.
 
     ``policy`` governs failure handling for worker runs (timeouts,
-    retries, backoff; see :class:`~repro.analysis.policy.RunPolicy`);
-    ``manifest`` records completed keys for resumable campaigns.
+    retries, backoff; see :class:`~repro.analysis.policy.RunPolicy`).
+    The runner owns one :class:`~repro.service.service.CampaignService`
+    for its whole lifetime, so the worker pool and each worker's
+    workload memo survive between prefetch batches.  The service's job
+    journal lives in a private temporary directory, and so does its
+    result store when ``use_cache`` is off.
     """
 
     def __init__(
@@ -332,117 +286,70 @@ class ParallelRunner(ExperimentRunner):
         cache_dir: Optional[str] = None,
         use_cache: bool = True,
         policy: Optional[RunPolicy] = None,
-        manifest: Optional[CampaignManifest] = None,
     ) -> None:
+        from repro.service.service import CampaignService
+
         super().__init__(verbose=verbose)
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
-        self.cache = ResultCache(cache_dir) if use_cache else None
         self.policy = policy or RunPolicy()
-        self.manifest = manifest
+        self._tempdir = tempfile.TemporaryDirectory(prefix="repro-runner-")
+        if not use_cache:
+            cache_dir = os.path.join(self._tempdir.name, "store")
+        self._service = CampaignService(
+            os.path.join(self._tempdir.name, "journal.jsonl"),
+            cache_dir=cache_dir,
+            jobs=jobs,
+            policy=self.policy,
+            verbose=verbose,
+        )
+        self.cache = self._service.cache if use_cache else None
         #: Keys abandoned under the ``skip`` failure policy.
         self._skipped: Set[Tuple[str, Tuple]] = set()
-        #: Lazily created, reused across prefetch batches; workers stay
-        #: warm (their workload/trace memos survive between figures).
-        self._executor: Optional[ProcessPoolExecutor] = None
-
-    def _pool(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
-        return self._executor
-
-    def _discard_pool(self) -> bool:
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-            return True
-        return False
-
-    def _kill_pool(self) -> None:
-        """Watchdog action: hard-kill every worker, then drop the pool.
-
-        ``shutdown`` alone cannot reclaim a *hung* worker — it only
-        stops feeding new work — so the watchdog kills the processes
-        first and lets the next batch build a fresh pool.
-        """
-        executor = self._executor
-        if executor is None:
-            return
-        processes = getattr(executor, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.kill()
-            except Exception:  # noqa: BLE001 - already-dead workers
-                pass
-        executor.shutdown(wait=False, cancel_futures=True)
-        self._executor = None
-        self.stats.pool_restarts += 1
 
     def close(self) -> None:
         """Shut the worker pool down (also safe to never call)."""
-        self._discard_pool()
+        self._service.close()
+        self._tempdir.cleanup()
 
     def __del__(self) -> None:  # pragma: no cover - interpreter teardown
         try:
-            self._discard_pool()
+            self.close()
         except Exception:
             pass
 
     # -- disk cache ------------------------------------------------------
 
-    def _disk_load_up(self, key: Tuple[str, str]) -> Optional[SimResult]:
-        if self.cache is None:
-            return None
-        payload = self.cache.load(self.cache.key("up", *key))
+    def _memo(self, kind: str) -> dict:
+        return self._up_cache if kind == "up" else self._smp_cache
+
+    @staticmethod
+    def _decode(kind: str, payload: Optional[dict]):
         if payload is None:
             return None
         try:
-            return sim_result_from_dict(payload)
+            if kind == "up":
+                return sim_result_from_dict(payload)
+            return SmpResult.from_dict(payload)
         except (ValueError, TypeError, KeyError):
             # Payload from an incompatible writer: treat as a miss.
             return None
 
-    def _disk_load_smp(self, key: Tuple[str, str, int]) -> Optional[SmpResult]:
+    def _disk_load(self, kind: str, key: Tuple):
         if self.cache is None:
             return None
-        payload = self.cache.load(self.cache.key("smp", key[0], key[1], key[2]))
-        if payload is None:
-            return None
-        try:
-            return SmpResult.from_dict(payload)
-        except (ValueError, TypeError, KeyError):
-            return None
+        return self._decode(kind, self.cache.load(self.cache.key(kind, *key)))
 
-    def _disk_store_up(
-        self, key: Tuple[str, str], result: SimResult, workload: Workload
+    def _disk_store(
+        self, kind: str, key: Tuple, result, workload: Workload
     ) -> None:
-        if self.cache is not None:
-            self.cache.store(
-                self.cache.key("up", *key),
-                result.to_dict(),
-                meta={"config": result.config_name, "workload": workload.name},
-            )
-
-    def _disk_store_smp(
-        self, key: Tuple[str, str, int], result: SmpResult, workload: Workload
-    ) -> None:
-        if self.cache is not None:
-            self.cache.store(
-                self.cache.key("smp", key[0], key[1], key[2]),
-                result.to_dict(),
-                meta={
-                    "config": result.config_name,
-                    "workload": workload.name,
-                    "cpus": key[2],
-                },
-            )
-
-    # -- campaign bookkeeping --------------------------------------------
-
-    def _mark_complete(self, kind: str, key: Tuple, label: str) -> None:
-        if self.manifest is not None:
-            self.manifest.mark(self.manifest.key(kind, *key), label)
+        if self.cache is None:
+            return
+        meta = {"config": result.config_name, "workload": workload.name}
+        if kind == "smp":
+            meta["cpus"] = key[2]
+        self.cache.store(self.cache.key(kind, *key), result.to_dict(), meta=meta)
 
     # -- skip policy -----------------------------------------------------
 
@@ -490,15 +397,13 @@ class ParallelRunner(ExperimentRunner):
     def _fetch_up(
         self, key: Tuple[str, str], config: MachineConfig, workload: Workload
     ) -> SimResult:
-        cached = self._disk_load_up(key)
+        cached = self._disk_load("up", key)
         if cached is not None:
             self.stats.disk_hits += 1
             self._log(f"  [cache] {workload.name} on {config.name}")
-            self._mark_complete("up", key, f"{workload.name}@{config.name}")
             return cached
         result = super()._fetch_up(key, config, workload)
-        self._disk_store_up(key, result, workload)
-        self._mark_complete("up", key, f"{workload.name}@{config.name}")
+        self._disk_store("up", key, result, workload)
         return result
 
     def _fetch_smp(
@@ -508,17 +413,13 @@ class ParallelRunner(ExperimentRunner):
         workload: Workload,
         cpu_count: int,
     ) -> SmpResult:
-        cached = self._disk_load_smp(key)
+        cached = self._disk_load("smp", key)
         if cached is not None:
             self.stats.disk_hits += 1
             self._log(f"  [cache] {workload.name} x{cpu_count}P on {config.name}")
-            self._mark_complete(
-                "smp", key, f"{workload.name}x{cpu_count}P@{config.name}"
-            )
             return cached
         result = super()._fetch_smp(key, config, workload, cpu_count)
-        self._disk_store_smp(key, result, workload)
-        self._mark_complete("smp", key, f"{workload.name}x{cpu_count}P@{config.name}")
+        self._disk_store("smp", key, result, workload)
         return result
 
     # -- parallel fan-out ------------------------------------------------
@@ -531,274 +432,65 @@ class ParallelRunner(ExperimentRunner):
         """Execute a batch of runs across workers, filling the caches.
 
         Requests already satisfied by the in-memory memo or the disk
-        cache are skipped; the rest fan out over ``jobs`` processes.
-        Worker failures and timeouts are retried with backoff up to the
-        policy's budget, then handled per ``policy.on_failure``; a
-        single crash or hang never loses the whole batch.
+        cache are skipped; the rest are submitted as jobs to the
+        runner's campaign service and drained over ``jobs`` worker
+        processes, which retries, times out and falls back per
+        ``policy`` — a single crash or hang never loses the batch.
         """
-        pending_up: List[Tuple[Tuple[str, str], MachineConfig, Workload]] = []
-        seen_keys = set()
-        for config, workload in up:
-            key = self._up_key(config, workload)
-            if key in seen_keys or key in self._up_cache:
+        from repro.service.jobs import job_spec
+        from repro.service.queue import DEAD
+        from repro.service.service import ServiceStats
+
+        requests = [
+            ("up", self._up_key(config, workload), config, workload, None)
+            for config, workload in up
+        ] + [
+            ("smp", self._smp_key(config, workload, cpus), config, workload, cpus)
+            for config, workload, cpus in smp
+        ]
+        #: (kind, memo key) -> service job key, in request order.
+        pending: Dict[Tuple[str, Tuple], str] = {}
+        for kind, key, config, workload, cpus in requests:
+            if key in self._memo(kind) or (kind, key) in pending:
                 continue
-            if self._is_skipped("up", key):
+            if self._is_skipped(kind, key):
                 continue
-            cached = self._disk_load_up(key)
+            cached = self._disk_load(kind, key)
             if cached is not None:
                 self.stats.disk_hits += 1
-                self._up_cache[key] = cached
-                self._mark_complete("up", key, f"{workload.name}@{config.name}")
+                self._memo(kind)[key] = cached
                 continue
-            seen_keys.add(key)
-            pending_up.append((key, config, workload))
-
-        pending_smp: List[
-            Tuple[Tuple[str, str, int], MachineConfig, Workload, int]
-        ] = []
-        for config, workload, cpu_count in smp:
-            key = self._smp_key(config, workload, cpu_count)
-            if key in seen_keys or key in self._smp_cache:
-                continue
-            if self._is_skipped("smp", key):
-                continue
-            cached = self._disk_load_smp(key)
-            if cached is not None:
-                self.stats.disk_hits += 1
-                self._smp_cache[key] = cached
-                self._mark_complete(
-                    "smp", key, f"{workload.name}x{cpu_count}P@{config.name}"
-                )
-                continue
-            seen_keys.add(key)
-            pending_smp.append((key, config, workload, cpu_count))
-
-        total = len(pending_up) + len(pending_smp)
-        if total == 0:
+            pending[(kind, key)] = self._service.submit_spec(
+                job_spec(config, workload, cpus)
+            )
+        if not pending:
             return
-        self.stats.misses += total
+        self.stats.misses += len(pending)
+        self._log(f"  fanning {len(pending)} runs out over {self.jobs} workers ...")
 
-        if self.jobs == 1 and total == 1:
-            # Nothing to overlap; skip the pool entirely.
-            self._run_pending_inline(pending_up, pending_smp)
-            return
-        self._run_pending_pool(pending_up, pending_smp)
-
-    def _run_pending_inline(self, pending_up, pending_smp) -> None:
-        for key, config, workload in pending_up:
-            self._log(f"  running {workload.name} on {config.name} ...")
-            started = time.perf_counter()
-            result = _run_up(config, workload)
-            self.stats.record_run(
-                f"{workload.name}@{config.name}",
-                time.perf_counter() - started,
-                None,
-            )
-            self._up_cache[key] = result
-            self._disk_store_up(key, result, workload)
-            self._mark_complete("up", key, f"{workload.name}@{config.name}")
-        for key, config, workload, cpu_count in pending_smp:
-            self._log(f"  running {workload.name} x{cpu_count}P on {config.name} ...")
-            started = time.perf_counter()
-            result = _run_smp(config, workload, cpu_count)
-            self.stats.record_run(
-                f"{workload.name}x{cpu_count}P@{config.name}",
-                time.perf_counter() - started,
-                None,
-            )
-            self._smp_cache[key] = result
-            self._disk_store_smp(key, result, workload)
-            self._mark_complete(
-                "smp", key, f"{workload.name}x{cpu_count}P@{config.name}"
-            )
-
-    @staticmethod
-    def _label(kind: str, item) -> str:
-        if kind == "up":
-            _, config, workload = item
-            return f"{workload.name}@{config.name}"
-        _, config, workload, cpu_count = item
-        return f"{workload.name}x{cpu_count}P@{config.name}"
-
-    def _submit(self, pool: ProcessPoolExecutor, kind: str, item, attempt: int):
-        if kind == "up":
-            _, config, workload = item
-            return pool.submit(_up_worker, config, workload, attempt)
-        _, config, workload, cpu_count = item
-        return pool.submit(_smp_worker, config, workload, cpu_count, attempt)
-
-    def _run_pending_pool(self, pending_up, pending_smp) -> None:
-        """Fan pending runs out over a worker pool, with fault tolerance.
-
-        At most ``jobs`` requests are in flight at a time, so the
-        per-run wall-clock watchdog measures execution, not queueing.
-        A worker failure charges that run one attempt and re-submits it
-        (after deterministic jittered backoff) until the policy's retry
-        budget is spent; a watchdog expiry additionally kills and
-        respawns the pool, because a hung worker cannot be cancelled.
-        Requests that were merely in flight on a pool that had to be
-        killed are re-queued without being charged an attempt.
-        """
-        total = len(pending_up) + len(pending_smp)
-        self._log(f"  fanning {total} runs out over {self.jobs} workers ...")
-        queue: Deque[Tuple[str, Tuple, int]] = deque(
-            [("up", item, 0) for item in pending_up]
-            + [("smp", item, 0) for item in pending_smp]
-        )
-        #: future -> (kind, item, attempt, deadline or None)
-        inflight: Dict[object, Tuple[str, Tuple, int, Optional[float]]] = {}
-        done_count = 0
+        self._service.stats = ServiceStats()
         try:
-            while queue or inflight:
-                while queue and len(inflight) < self.jobs:
-                    kind, item, attempt = queue.popleft()
-                    future = self._submit(self._pool(), kind, item, attempt)
-                    deadline = (
-                        time.monotonic() + self.policy.timeout
-                        if self.policy.timeout
-                        else None
-                    )
-                    inflight[future] = (kind, item, attempt, deadline)
+            self._service.run()
+        finally:
+            drained = self._service.stats
+            self.stats.retries += drained.retries
+            self.stats.timeouts += drained.timeouts
+            self.stats.pool_restarts += drained.pool_restarts
+            self.stats.worker_fallbacks += drained.in_process_fallbacks
+            self.stats.skipped.extend(drained.skipped)
+            for label, seconds, pid in drained.runs:
+                self.stats.record_run(label, seconds, pid)
 
-                deadlines = [
-                    meta[3] for meta in inflight.values() if meta[3] is not None
-                ]
-                wait_timeout = (
-                    max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
-                )
-                finished, _ = wait(
-                    set(inflight), timeout=wait_timeout, return_when=FIRST_COMPLETED
-                )
-
-                for future in finished:
-                    kind, item, attempt, _deadline = inflight.pop(future)
-                    try:
-                        payload, pid, seconds = future.result()
-                    except Exception as error:  # noqa: BLE001
-                        self._handle_failure(kind, item, attempt, error, queue)
-                        continue
-                    done_count += 1
-                    self._install(kind, item, payload, pid, seconds, done_count, total)
-
-                if finished:
-                    continue
-
-                # Nothing completed before the nearest deadline: check
-                # for expired runs and, if any, assume their workers are
-                # hung — kill the pool and re-drive everything.
-                now = time.monotonic()
-                expired = [
-                    (future, meta)
-                    for future, meta in inflight.items()
-                    if meta[3] is not None and meta[3] <= now
-                ]
-                if not expired:
-                    continue
-                self._kill_pool()
-                for future, (kind, item, attempt, deadline) in list(inflight.items()):
-                    is_expired = deadline is not None and deadline <= now
-                    if is_expired:
-                        self.stats.timeouts += 1
-                        self._log(
-                            f"  watchdog: {self._label(kind, item)} exceeded "
-                            f"{self.policy.timeout:.1f}s; killing worker pool"
-                        )
-                        self._handle_failure(
-                            kind,
-                            item,
-                            attempt,
-                            TimeoutError(
-                                f"run exceeded {self.policy.timeout}s wall-clock"
-                            ),
-                            queue,
-                        )
-                    else:
-                        # Collateral of the pool kill: not this run's
-                        # fault, so its attempt budget is untouched.
-                        queue.append((kind, item, attempt))
-                inflight.clear()
-        except ExperimentError:
-            raise
-        except Exception as error:  # noqa: BLE001
-            # Pool-level failure (e.g. the executor itself cannot start,
-            # or it broke mid-batch): discard it and rerun whatever was
-            # never installed, in-process.
-            self._discard_pool()
-            self._log(f"  worker pool failed ({error!r}); completing in-process")
-            leftovers_up = [
-                item for item in pending_up
-                if item[0] not in self._up_cache
-                and not self._is_skipped("up", item[0])
-            ]
-            leftovers_smp = [
-                item for item in pending_smp
-                if item[0] not in self._smp_cache
-                and not self._is_skipped("smp", item[0])
-            ]
-            self.stats.worker_fallbacks += len(leftovers_up) + len(leftovers_smp)
-            self._run_pending_inline(leftovers_up, leftovers_smp)
-
-    def _handle_failure(self, kind, item, attempt, error, queue) -> None:
-        """One run failed (crash, raise, or timeout): retry or give up."""
-        label = self._label(kind, item)
-        if isinstance(error, BrokenExecutor):
-            # A dead pool stays dead; drop it so the next submission
-            # builds a fresh one.
-            if self._discard_pool():
-                self.stats.pool_restarts += 1
-        next_attempt = attempt + 1
-        if next_attempt <= self.policy.retries:
-            self.stats.retries += 1
-            delay = self.policy.backoff_delay(label, next_attempt)
-            self._log(
-                f"  worker failed on {label} ({error!r}); retry "
-                f"{next_attempt}/{self.policy.retries} after {delay:.2f}s"
-            )
-            if delay > 0:
-                time.sleep(delay)
-            queue.append((kind, item, next_attempt))
-            return
-        # Retry budget exhausted: apply the policy.
-        if self.policy.on_failure == "fail":
-            raise ExperimentError(
-                f"{label} failed after {next_attempt} attempts: {error!r}"
-            ) from (error if isinstance(error, BaseException) else None)
-        if self.policy.on_failure == "skip":
-            self.stats.skipped.append(label)
-            self._skipped.add((kind, item[0]))
-            self._log(f"  giving up on {label} ({error!r}); recorded as skipped")
-            return
-        # Default policy: last-resort rerun in the parent process, which
-        # is observable and interruptible (no timeout applies there).
-        self.stats.worker_fallbacks += 1
-        self._log(f"  worker failed on {label} ({error!r}); rerunning in-process")
-        if kind == "up":
-            self._run_pending_inline([item], [])
-        else:
-            self._run_pending_inline([], [item])
-
-    def _install(
-        self, kind, item, payload, pid, seconds, done_count, total
-    ) -> None:
-        if kind == "up":
-            key, config, workload = item
-            result = sim_result_from_dict(payload)
-            label = f"{workload.name}@{config.name}"
-            self._up_cache[key] = result
-            self._disk_store_up(key, result, workload)
-            self._mark_complete("up", key, label)
-        else:
-            key, config, workload, cpu_count = item
-            result = SmpResult.from_dict(payload)
-            label = f"{workload.name}x{cpu_count}P@{config.name}"
-            self._smp_cache[key] = result
-            self._disk_store_smp(key, result, workload)
-            self._mark_complete("smp", key, label)
-        self.stats.record_run(label, seconds, pid)
-        self._log(
-            f"  [{done_count}/{total}] worker {pid} finished {label} "
-            f"in {seconds:.2f}s"
-        )
+        jobs = self._service.queue.jobs
+        for (kind, key), job_key in pending.items():
+            if jobs[job_key].state == DEAD:
+                self._skipped.add((kind, key))
+                continue
+            # An entry that cannot be read back stays uninstalled; the
+            # serial path recomputes it on demand.
+            result = self._decode(kind, self._service.cache.load(job_key))
+            if result is not None:
+                self._memo(kind)[key] = result
 
     def summary(self) -> str:
         """One-line observability summary (cache + execution counters)."""

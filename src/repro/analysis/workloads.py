@@ -43,22 +43,6 @@ class Workload:
     _generator: Optional[TraceGenerator] = field(default=None, repr=False)
     _trace: Optional[Trace] = field(default=None, repr=False)
 
-    def __getstate__(self) -> dict:
-        """Pickle only the generation parameters, never the traces.
-
-        Worker processes of :class:`~repro.analysis.runner.ParallelRunner`
-        receive workloads by pickle and regenerate traces locally from
-        the seed — bit-identical by construction (deterministic RNG) and
-        far cheaper than shipping hundreds of thousands of records.
-        """
-        state = self.__dict__.copy()
-        state["_generator"] = None
-        state["_trace"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
     def cache_key(self) -> str:
         """Stable identity for result caches: name, parameters, profile.
 

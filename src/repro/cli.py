@@ -225,10 +225,9 @@ def _cmd_profile(args: argparse.Namespace) -> None:
         print(f"wrote {args.out} (inspect with `python -m pstats {args.out}`)")
 
 
-def _make_runner(args: argparse.Namespace, campaign: Optional[str] = None):
+def _make_runner(args: argparse.Namespace):
     """Build the runner the figures/sweeps commands share."""
     from repro.analysis import ParallelRunner
-    from repro.analysis.campaign import CampaignManifest
     from repro.analysis.policy import RunPolicy
     from repro.common import faults
 
@@ -241,27 +240,12 @@ def _make_runner(args: argparse.Namespace, campaign: Optional[str] = None):
         on_failure=args.on_failure,
     )
 
-    manifest = None
-    if getattr(args, "resume", False):
-        if args.no_cache:
-            raise SystemExit(
-                "--resume needs the persistent result cache; "
-                "drop --no-cache or drop --resume"
-            )
-        from repro.analysis import ResultCache
-
-        directory = ResultCache(args.cache_dir).directory
-        manifest = CampaignManifest(directory / f"campaign-{campaign or 'run'}.jsonl")
-        if not args.quiet:
-            print(manifest.summary())
-
     return ParallelRunner(
         jobs=args.jobs,
         verbose=not args.quiet,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         policy=policy,
-        manifest=manifest,
     )
 
 
@@ -306,11 +290,6 @@ def _add_runner_options(parser: argparse.ArgumentParser) -> None:
              "missing and marks reports partial (default retry)",
     )
     parser.add_argument(
-        "--resume", action="store_true",
-        help="checkpoint completed runs in a campaign manifest under the "
-             "cache dir and resume an interrupted campaign from it",
-    )
-    parser.add_argument(
         "--inject-faults", default=None, metavar="SPEC",
         help="deterministic fault injection for testing, e.g. "
              "'worker-hang,times=1,hang=30;cache-corrupt,times=1' "
@@ -336,7 +315,7 @@ def _cmd_figures(args: argparse.Namespace) -> None:
     if plan is not None:
         for workload in workloads:
             workload.sampling = plan
-    runner = _make_runner(args, campaign=f"figures-{args.figure}")
+    runner = _make_runner(args)
     figure_map = {
         "7": lambda: fig07_characteristics(workloads, runner=runner),
         "8": lambda: fig08_issue_width(workloads, runner),
@@ -383,7 +362,7 @@ def _cmd_sweeps(args: argparse.Namespace) -> None:
         workload_by_name,
     )
 
-    runner = _make_runner(args, campaign=f"sweeps-{args.sweep}")
+    runner = _make_runner(args)
     plan = _sampling_plan(args)
 
     def sized(name):

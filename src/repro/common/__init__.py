@@ -6,7 +6,6 @@ small event queue used by the bus and memory-controller models.
 """
 
 from repro.common.errors import (
-    CampaignError,
     ConfigError,
     ExperimentError,
     InjectedFault,
@@ -25,7 +24,6 @@ from repro.common.units import (
 )
 
 __all__ = [
-    "CampaignError",
     "ConfigError",
     "ExperimentError",
     "InjectedFault",

@@ -37,20 +37,12 @@ class VerificationError(ReproError):
 class ExperimentError(ReproError):
     """An experiment run failed permanently in the harness.
 
-    Raised by :class:`~repro.analysis.runner.ParallelRunner` when a run
-    exhausts its retry budget under the ``fail`` policy, or when a
-    result is requested for a run that the ``skip`` policy recorded as
-    abandoned.  The message always names the (workload, config) pair so
+    Raised by :class:`~repro.service.service.CampaignService` (and so
+    by a :class:`~repro.analysis.runner.ParallelRunner` draining through
+    it) when a run exhausts its retry budget under the ``fail`` policy,
+    and by the runner when a result is requested for a run that the
+    ``skip`` policy recorded as abandoned.  The message always names the (workload, config) pair so
     a campaign log points straight at the offending run.
-    """
-
-
-class CampaignError(ReproError):
-    """A sweep/figure campaign manifest is unusable.
-
-    Distinct from :class:`ExperimentError`: the runs themselves may be
-    fine, but the resume bookkeeping (manifest file) cannot be trusted —
-    e.g. it was written by an incompatible version.
     """
 
 

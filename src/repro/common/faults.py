@@ -8,8 +8,9 @@ reproducible on demand so the test suite (and the CI smoke job) can
 prove it.
 
 Faults are described by a compact spec string, activated through the
-``REPRO_FAULTS`` environment variable so that worker processes spawned
-by :class:`~repro.analysis.runner.ParallelRunner` inherit them::
+``REPRO_FAULTS`` environment variable so that the worker processes of
+:class:`~repro.service.service.CampaignService` (which also serves every
+:class:`~repro.analysis.runner.ParallelRunner`) inherit them::
 
     REPRO_FAULTS="worker-hang,times=1,hang=30;cache-corrupt,times=1"
 

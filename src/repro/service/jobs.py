@@ -1,27 +1,33 @@
 """Job specs: the JSON contract between submitters, journal, and workers.
 
-A campaign-service job names one ``(configuration, workload[, cpus])``
-simulation point with nothing but JSON scalars, so it can be appended to
-the durable journal by one process (``repro submit``), replayed by
-another (``repro serve`` after a crash), and executed by a third (a pool
+A campaign-service job describes one ``(configuration, workload[, cpus])``
+simulation point with nothing but JSON values, so it can be appended to
+the durable journal by one process (``repro submit`` or a
+:class:`~repro.analysis.runner.ParallelRunner`), replayed by another
+(``repro serve`` after a crash), and executed by a third (a pool
 worker) — all agreeing on the same identity:
 
-- configurations are referenced by their registry name
-  (:func:`repro.model.config.named_configs`); the *content hash* of the
-  built configuration, not the name, feeds the dedup/cache key, so two
-  code versions that change a parameter never alias;
-- workloads are referenced by their paper name plus generation
-  parameters (seed, warm, timed) — the same identity
-  :meth:`~repro.analysis.workloads.Workload.cache_key` uses;
-- :func:`spec_key` is exactly the :class:`~repro.analysis.cache.ResultCache`
-  key of the run, so "the service finished this job" and "any runner
-  gets a cache hit for it" are the same statement, and duplicate
-  submissions of the same content single-flight by construction.
+- the spec carries the *full content* of the configuration and the
+  workload (every parameter, nested dataclasses, enums, tuples, the
+  sample seed and any :class:`~repro.trace.sampling.SamplingPlan`),
+  encoded with :func:`repro.common.hashing.canonical` and rebuilt by
+  :func:`decode`, so any configuration a sweep derives travels as a job,
+  not just the registry entries;
+- the rebuilt objects hash identically (``content_hash()`` and
+  ``cache_key()`` survive the round trip), so :func:`spec_key` is
+  exactly the :class:`~repro.analysis.cache.ResultCache` key of the run:
+  "the service finished this job" and "any runner gets a cache hit for
+  it" are the same statement, and duplicate submissions of the same
+  content single-flight by construction.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import enum
+import functools
+import typing
+from dataclasses import fields, is_dataclass
+from typing import Dict, Optional, Tuple
 
 from repro.analysis.cache import ResultCache
 from repro.analysis.workloads import (
@@ -32,10 +38,84 @@ from repro.analysis.workloads import (
     workload_by_name,
 )
 from repro.common.errors import ConfigError, ServiceError
+from repro.common.hashing import canonical
 from repro.model.config import MachineConfig, named_configs
 
 #: Spec schema version, embedded in every journal record.
-SPEC_FORMAT = 1
+SPEC_FORMAT = 2
+
+
+def _content(value) -> dict:
+    """A dataclass's public fields in canonical (JSON) form."""
+    return {
+        f.name: canonical(getattr(value, f.name))
+        for f in fields(value)
+        if not f.name.startswith("_")
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _hints(cls) -> Dict[str, object]:
+    return typing.get_type_hints(cls)
+
+
+def _decode_key(hint, text: str):
+    """A dict key back from ``canonical``'s ``str(key)``."""
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        # ``str()`` of an enum is ``Cls.NAME``, or the bare value of an
+        # ``IntEnum`` on Python >= 3.11.
+        name = text.rsplit(".", 1)[-1]
+        return hint[name] if name in hint.__members__ else hint(int(text))
+    return text
+
+
+def decode(hint, value):
+    """Rebuild a value of type ``hint`` from its canonical form.
+
+    The inverse of :func:`~repro.common.hashing.canonical`, driven by
+    type hints: dataclasses from field dicts, enums from names, tuples
+    from lists, ``Dict[K, V]`` keys from strings, ``Optional[X]`` from
+    ``None`` or an ``X``.  Scalars pass through unchanged, so the
+    rebuilt object canonicalises — and therefore hashes — identically.
+    """
+    origin = typing.get_origin(hint)
+    if origin is typing.Union:
+        if value is None:
+            return None
+        (inner,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+        return decode(inner, value)
+    if origin is tuple:
+        args = typing.get_args(hint)
+        if len(args) == 2 and args[1] is Ellipsis:
+            return tuple(decode(args[0], item) for item in value)
+        return tuple(decode(arg, item) for arg, item in zip(args, value))
+    if origin is dict:
+        key_hint, value_hint = typing.get_args(hint)
+        return {
+            _decode_key(key_hint, key): decode(value_hint, item)
+            for key, item in value.items()
+        }
+    if isinstance(hint, type) and is_dataclass(hint):
+        hints = _hints(hint)
+        return hint(**{name: decode(hints[name], item) for name, item in value.items()})
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return hint[value]
+    return value
+
+
+def job_spec(
+    config: MachineConfig, workload: Workload, cpus: Optional[int] = None
+) -> dict:
+    """The job spec of one simulation point (SMP when ``cpus`` is set)."""
+    spec = {
+        "v": SPEC_FORMAT,
+        "kind": "smp" if cpus else "up",
+        "config": _content(config),
+        "workload": _content(workload),
+    }
+    if cpus:
+        spec["cpus"] = int(cpus)
+    return spec
 
 
 def make_spec(
@@ -46,7 +126,7 @@ def make_spec(
     seed: int = DEFAULT_SEED,
     cpus: Optional[int] = None,
 ) -> dict:
-    """Build (and validate) a job spec.  Raises :class:`ConfigError`."""
+    """Build a job spec from registry names.  Raises :class:`ConfigError`."""
     if config not in named_configs():
         raise ConfigError(
             f"unknown config {config!r}; choose from: "
@@ -54,49 +134,31 @@ def make_spec(
         )
     if cpus is not None and cpus < 1:
         raise ConfigError(f"cpus must be >= 1, got {cpus}")
-    spec = {
-        "v": SPEC_FORMAT,
-        "kind": "smp" if cpus else "up",
-        "workload": workload,
-        "config": config,
-        "warm": int(warm),
-        "timed": int(timed),
-        "seed": int(seed),
-    }
-    if cpus:
-        spec["cpus"] = int(cpus)
-    spec_workload(spec)  # rejects unknown workload names at submit time
-    return spec
-
-
-def spec_config(spec: dict) -> MachineConfig:
-    """The machine configuration a spec names (built fresh)."""
-    registry = named_configs()
-    name = spec.get("config", "base")
-    try:
-        return registry[name]()
-    except KeyError:
-        raise ConfigError(f"job spec names unknown config {name!r}") from None
-
-
-def spec_workload(spec: dict) -> Workload:
-    """The workload a spec names (traces regenerated from the seed)."""
-    return workload_by_name(
-        spec["workload"],
-        warm=int(spec.get("warm", DEFAULT_WARM)),
-        timed=int(spec.get("timed", DEFAULT_TIMED)),
-        seed=int(spec.get("seed", DEFAULT_SEED)),
+    return job_spec(
+        named_configs()[config](),
+        workload_by_name(workload, warm=int(warm), timed=int(timed), seed=int(seed)),
+        cpus,
     )
 
 
+def spec_config(spec: dict) -> MachineConfig:
+    """The machine configuration a spec carries (built fresh)."""
+    return decode(MachineConfig, spec["config"])
+
+
+def spec_workload(spec: dict) -> Workload:
+    """The workload a spec carries (traces regenerated from the seed)."""
+    return decode(Workload, spec["workload"])
+
+
 def spec_label(spec: dict) -> str:
-    """Human-readable run label, matching the ParallelRunner convention
-    (``workload@config`` / ``workloadxNP@config``) so ``REPRO_FAULTS``
-    ``match=`` patterns target service runs and runner runs alike."""
-    config_name = spec_config(spec).name
+    """Human-readable run label (``workload@config`` /
+    ``workloadxNP@config``), the site label ``REPRO_FAULTS`` ``match=``
+    patterns see."""
+    workload, config = spec["workload"]["name"], spec["config"]["name"]
     if spec.get("kind") == "smp":
-        return f"{spec['workload']}x{spec['cpus']}P@{config_name}"
-    return f"{spec['workload']}@{config_name}"
+        return f"{workload}x{spec['cpus']}P@{config}"
+    return f"{workload}@{config}"
 
 
 def spec_key(spec: dict, cache: ResultCache) -> str:
@@ -110,12 +172,30 @@ def spec_key(spec: dict, cache: ResultCache) -> str:
     return cache.key("up", config.content_hash(), workload.cache_key())
 
 
-def execute_spec(spec: dict) -> Tuple[dict, dict]:
-    """Run the simulation a spec names; returns ``(payload, meta)``.
+#: Per-process workload memo: pool workers live across jobs, so reusing
+#: the Workload object lets its generated trace be shared by every
+#: configuration simulated on the same worker.
+_workloads: Dict[str, Workload] = {}
+_WORKLOAD_LIMIT = 8
 
-    The payload/meta shapes match what :class:`ParallelRunner` stores,
-    so entries produced by the service are indistinguishable from
-    entries produced by a local sweep — ``repro analyze`` renders both.
+
+def _memoised_workload(workload: Workload) -> Workload:
+    key = workload.cache_key()
+    cached = _workloads.get(key)
+    if cached is not None:
+        return cached
+    if len(_workloads) >= _WORKLOAD_LIMIT:
+        _workloads.pop(next(iter(_workloads)))
+    _workloads[key] = workload
+    return workload
+
+
+def execute_spec(spec: dict) -> Tuple[dict, dict]:
+    """Run the simulation a spec describes; returns ``(payload, meta)``.
+
+    The payload/meta shapes match what the serial runner path stores,
+    so every cache entry renders the same in ``repro analyze`` however
+    it was produced.
     """
     from repro.analysis.runner import _run_smp, _run_up
 
@@ -123,7 +203,7 @@ def execute_spec(spec: dict) -> Tuple[dict, dict]:
     if kind not in ("up", "smp"):
         raise ServiceError(f"job spec has unknown kind {kind!r}")
     config = spec_config(spec)
-    workload = spec_workload(spec)
+    workload = _memoised_workload(spec_workload(spec))
     if kind == "smp":
         cpus = int(spec["cpus"])
         result = _run_smp(config, workload, cpus)

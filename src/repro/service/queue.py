@@ -28,10 +28,14 @@ the service advertises:
   it wrote itself are tagged with a per-instance ``src`` id and
   skipped).
 
-Torn final lines (a writer crash) are sealed and dropped exactly like
-:class:`~repro.analysis.campaign.CampaignManifest` does, and a journal
-written by a different simulator version is quarantined (``*.stale``)
-because its content-hash keys are unreachable anyway.
+A torn final line (a writer crash) is held back while a writer may
+still be mid-append, sealed by the next append, and dropped on load; a
+duplicate header (two fresh writers racing to initialise the file) is
+skipped; and a journal written by a different simulator version is
+quarantined (``*.stale``) because its content-hash keys are unreachable
+anyway.  This is the repo's one durable journal: ``repro serve``
+campaigns and every :class:`~repro.analysis.runner.ParallelRunner`
+batch run through it.
 
 The queue never runs simulations itself; result payloads live in the
 content-addressed :class:`~repro.analysis.cache.ResultCache`, keeping

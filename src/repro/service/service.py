@@ -1,10 +1,12 @@
 """Crash-safe campaign service: durable queue + worker pool + store.
 
-:class:`CampaignService` is the coordinator that turns the durable
-:class:`~repro.service.queue.JobQueue`, the process pool patterns of
-:class:`~repro.analysis.runner.ParallelRunner`, and the atomic
-:class:`~repro.analysis.cache.ResultCache` into a resilient campaign
-executor:
+:class:`CampaignService` is the repo's one fault-tolerant executor.  It
+turns the durable :class:`~repro.service.queue.JobQueue`, a process
+pool, and the atomic :class:`~repro.analysis.cache.ResultCache` into a
+resilient campaign executor, and it serves both ``repro serve`` and
+every parallel figure and sweep (a
+:class:`~repro.analysis.runner.ParallelRunner` submits its runs here
+and drains them with :meth:`CampaignService.run`):
 
 - **submit** — (config, workload[, cpus]) points enter the queue keyed
   by result-cache content hash; duplicates single-flight, cached points
@@ -13,8 +15,8 @@ executor:
   fans them out over worker processes, and renews each lease while its
   worker is making progress.  A worker that dies (``BrokenExecutor``),
   raises, or exceeds the policy timeout is charged one attempt and the
-  job requeued with deterministic backoff — exactly the
-  :class:`~repro.analysis.policy.RunPolicy` semantics sweeps use;
+  job requeued with deterministic backoff, per
+  :class:`~repro.analysis.policy.RunPolicy`;
 - **orphans** — a job whose lease expires while its worker is *still
   running* (injected expiry, stalled heartbeats, a slow machine) is
   requeued immediately; if the orphaned worker finishes anyway its
@@ -29,8 +31,9 @@ executor:
   a stale in-memory copy when the store goes unreadable under it.
 
 Workers write results straight into the shared result cache (atomic
-temp-file + ``os.replace`` + fsync), so the journal stays tiny and a
-result is visible if and only if its bytes are complete.
+temp-file + ``os.replace`` + fsync), and the coordinator re-reads every
+entry before it completes a job, so the journal stays tiny and a job is
+done if and only if its result loads.
 """
 
 from __future__ import annotations
@@ -100,6 +103,8 @@ class ServiceStats:
 
     dispatched: int = 0
     cache_hits: int = 0
+    #: Charged failures requeued for another attempt.
+    retries: int = 0
     stale_serves: int = 0
     orphan_completions: int = 0
     in_process_fallbacks: int = 0
@@ -108,11 +113,14 @@ class ServiceStats:
     skipped: List[str] = field(default_factory=list)
     #: Seconds from first failure/expiry of a job to its completion.
     recovery_seconds: List[float] = field(default_factory=list)
+    #: (label, seconds, worker pid or None if in-process) per completed run.
+    runs: List[Tuple[str, float, Optional[int]]] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, object]:
         return {
             "dispatched": self.dispatched,
             "cache_hits": self.cache_hits,
+            "retries": self.retries,
             "stale_serves": self.stale_serves,
             "orphan_completions": self.orphan_completions,
             "in_process_fallbacks": self.in_process_fallbacks,
@@ -241,12 +249,11 @@ class CampaignService:
 
         A flight past the policy timeout is *hung*: stop renewing,
         kill the pool (a wedged worker cannot be cancelled), charge the
-        hung runs an attempt, and requeue the collateral uncharged —
-        mirroring the ParallelRunner watchdog.  A flight whose lease
-        expired without being hung (injected expiry, stalled heartbeat)
-        becomes an *orphan*: its job requeues immediately, but the
-        worker keeps running and its late result is accepted
-        idempotently if it wins the race.
+        hung runs an attempt, and requeue the collateral uncharged.  A
+        flight whose lease expired without being hung (injected expiry,
+        stalled heartbeat) becomes an *orphan*: its job requeues
+        immediately, but the worker keeps running and its late result is
+        accepted idempotently if it wins the race.
         """
         now_mono = time.monotonic()
         hung: Set[object] = set()
@@ -352,8 +359,7 @@ class CampaignService:
             key, pid, seconds = future.result()
         except BrokenExecutor as error:
             # The whole pool died (a worker crashed hard); every other
-            # in-flight future will raise the same way and be charged —
-            # matching the ParallelRunner precedent.
+            # in-flight future will raise the same way and be charged.
             if self._discard_pool():
                 self.stats.pool_restarts += 1
             self._fail(flight, error)
@@ -370,6 +376,7 @@ class CampaignService:
             return
         if self.queue.complete(key, worker=str(pid)):
             self._note_recovered(key)
+            self.stats.runs.append((flight.label, seconds, pid))
             self._log(f"  worker {pid} finished {flight.label} in {seconds:.2f}s")
         else:
             self._log(f"  duplicate completion of {flight.label} (ignored)")
@@ -381,7 +388,7 @@ class CampaignService:
         lease expired, so the retry path owns it now.
         """
         try:
-            key, pid, _seconds = future.result()
+            key, pid, seconds = future.result()
         except Exception:  # noqa: BLE001
             return
         job = self.queue.jobs.get(key)
@@ -392,6 +399,7 @@ class CampaignService:
         if self.queue.complete(key, worker=str(pid), source="orphan"):
             self.stats.orphan_completions += 1
             self._note_recovered(key)
+            self.stats.runs.append((flight.label, seconds, pid))
             self._log(f"  orphaned worker {pid} completed {flight.label}")
 
     def _fail(self, flight: _Flight, error: BaseException) -> None:
@@ -412,6 +420,7 @@ class CampaignService:
             not_before=not_before,
         )
         if outcome == "requeued":
+            self.stats.retries += 1
             self._log(
                 f"  worker failed on {flight.label} ({error!r}); retry "
                 f"{next_attempt}/{self.policy.retries} queued"
@@ -429,14 +438,23 @@ class CampaignService:
             return
         # Default: last-resort rerun in the service process, which is
         # observable and interruptible.  Worker faults do not fire here
-        # (no worker_fault call, as in the runner's inline path) and
-        # store faults are spared by the high attempt number.
+        # (no worker_fault call) and store faults are spared by the high
+        # attempt number.
         self.stats.in_process_fallbacks += 1
         self._log(f"  worker failed on {flight.label} ({error!r}); running in-process")
+        started = time.perf_counter()
         try:
             with faults.attempt_scope(job.attempts):
                 payload, meta = execute_spec(flight.spec)
-                self.cache.store(flight.key, payload, meta=meta)
+                for _ in range(2):
+                    # Re-read what was stored, as _finish does for worker
+                    # runs; an unreadable entry gets the payload in hand
+                    # stored once more.
+                    self.cache.store(flight.key, payload, meta=meta)
+                    if self.cache.load(flight.key) is not None:
+                        break
+                else:
+                    raise ServiceError("stored result unreadable after run")
         except Exception as final_error:  # noqa: BLE001
             raise ExperimentError(
                 f"{flight.label} failed in-process after {next_attempt} "
@@ -444,6 +462,9 @@ class CampaignService:
             ) from final_error
         if self.queue.complete(flight.key, worker="in-process"):
             self._note_recovered(flight.key)
+            self.stats.runs.append(
+                (flight.label, time.perf_counter() - started, None)
+            )
 
     # -- drive -----------------------------------------------------------
 

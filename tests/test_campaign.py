@@ -1,101 +1,121 @@
-"""Unit tests for :class:`repro.analysis.campaign.CampaignManifest`.
+"""The campaign journal: what a rerun of an interrupted campaign relies on.
 
-The manifest's whole job is to survive exactly the failures that
-interrupt campaigns: a kill mid-append, a simulator upgrade between
-sessions, stray garbage in the file.  Each property documented in the
-module docstring gets a test here.
+Every campaign — ``repro serve`` and every parallel figure or sweep —
+runs through one durable journal, :class:`repro.service.queue.JobQueue`,
+whose points are keyed by :func:`repro.service.jobs.spec_key`.  These
+tests pin the journal behaviours a campaign needs to survive exactly
+the failures that interrupt it: a kill mid-append, a simulator upgrade
+between runs, and a file that is not a journal at all.  (Concurrent
+appenders are covered in ``test_service_queue.py``.)
 """
+
+from __future__ import annotations
 
 import json
 
-import pytest
+from repro.analysis.cache import ResultCache
+from repro.service.jobs import make_spec, spec_key, spec_label
+from repro.service.queue import DONE, JOURNAL_FORMAT, PENDING, JobQueue
 
-from repro.analysis.campaign import MANIFEST_FORMAT, CampaignManifest
-from repro.common.errors import CampaignError
+WARM = 2_000
+TIMED = 800
 
 
-def _manifest(tmp_path, **kwargs):
-    return CampaignManifest(tmp_path / "campaign.jsonl", code_hash="deadbeef", **kwargs)
+def _journal(tmp_path, code_hash="deadbeef"):
+    return JobQueue(tmp_path / "campaign.jsonl", code_hash=code_hash)
+
+
+def _point(tmp_path, workload="SPECint95", **kwargs):
+    """(spec, key) of one campaign point."""
+    spec = make_spec(workload, warm=WARM, timed=TIMED, **kwargs)
+    return spec, spec_key(spec, ResultCache(str(tmp_path / "cache")))
+
+
+def _submit(queue, spec, key):
+    return queue.submit(spec["kind"], spec, spec_label(spec), key)
 
 
 class TestBasics:
     def test_fresh_manifest_is_empty(self, tmp_path):
-        manifest = _manifest(tmp_path)
-        assert len(manifest) == 0
-        assert not manifest.resumed
-        assert not manifest.is_done("anything")
+        with _journal(tmp_path) as journal:
+            assert journal.jobs == {}
+            assert not journal.resumed
+            assert journal.drained()
 
     def test_mark_and_reload(self, tmp_path):
-        with _manifest(tmp_path) as manifest:
-            key = manifest.key("up", "cfg-hash", "wl-key")
-            manifest.mark(key, "SPECint95@SPARC64-V")
-
-        reloaded = _manifest(tmp_path)
-        assert reloaded.resumed
-        assert len(reloaded) == 1
-        assert reloaded.is_done(key)
-        assert reloaded.completed[key] == "SPECint95@SPARC64-V"
+        spec, key = _point(tmp_path)
+        with _journal(tmp_path) as journal:
+            _submit(journal, spec, key)
+            journal.complete(key, worker="w1")
+        with _journal(tmp_path) as reloaded:
+            assert reloaded.resumed
+            assert reloaded.jobs[key].state == DONE
+            assert reloaded.jobs[key].spec == spec
 
     def test_mark_is_idempotent(self, tmp_path):
-        with _manifest(tmp_path) as manifest:
-            key = manifest.key("up", "a", "b")
-            manifest.mark(key, "x")
-            manifest.mark(key, "x")
+        spec, key = _point(tmp_path)
+        with _journal(tmp_path) as journal:
+            _submit(journal, spec, key)
+            assert journal.complete(key, worker="w1")
+            assert not journal.complete(key, worker="w2")
         lines = (tmp_path / "campaign.jsonl").read_text().splitlines()
-        assert len(lines) == 2  # header + one record, not two
+        assert sum('"ev":"done"' in line for line in lines) == 1
 
     def test_keys_are_deterministic_and_distinct(self, tmp_path):
-        manifest = _manifest(tmp_path)
-        assert manifest.key("up", "a", "b") == manifest.key("up", "a", "b")
-        assert manifest.key("up", "a", "b") != manifest.key("smp", "a", "b")
-        assert manifest.key("up", "a", "b") != manifest.key("up", "a", "c")
-        # The separator keeps ("ab", "c") and ("a", "bc") apart.
-        assert manifest.key("up", "ab", "c") != manifest.key("up", "a", "bc")
+        _, key = _point(tmp_path)
+        assert _point(tmp_path)[1] == key
+        assert _point(tmp_path, workload="SPECfp95")[1] != key
+        assert _point(tmp_path, config="issue-2way")[1] != key
+        assert _point(tmp_path, seed=7)[1] != key
+        assert _point(tmp_path, cpus=2)[1] != key
 
     def test_summary_mentions_state(self, tmp_path):
-        manifest = _manifest(tmp_path)
-        assert "new" in manifest.summary()
-        with manifest:
-            manifest.mark(manifest.key("up", "a"), "a")
-        assert "resumed" in _manifest(tmp_path).summary()
+        spec, key = _point(tmp_path)
+        with _journal(tmp_path) as journal:
+            _submit(journal, spec, key)
+            assert "1 pending" in journal.summary()
+            journal.complete(key, worker="w1")
+            assert "1 done" in journal.summary()
 
 
 class TestCrashRecovery:
     def test_torn_final_line_is_dropped(self, tmp_path):
-        """A crash mid-append leaves a partial line; load must shrug."""
-        with _manifest(tmp_path) as manifest:
-            done = manifest.key("up", "done")
-            manifest.mark(done, "done-run")
+        """A crash mid-append leaves a partial line; replay must shrug."""
+        spec, key = _point(tmp_path)
+        with _journal(tmp_path) as journal:
+            _submit(journal, spec, key)
         path = tmp_path / "campaign.jsonl"
         with path.open("a", encoding="utf-8") as handle:
-            handle.write('{"key": "abcd1234", "lab')  # no newline, no close
+            handle.write('{"ev":"done","job":"' + key)  # no newline, no close
 
-        reloaded = _manifest(tmp_path)
-        assert reloaded.is_done(done)
-        assert not reloaded.is_done("abcd1234")
-        assert reloaded.recovered_drops == 1
-        assert "torn" in reloaded.summary()
+        with _journal(tmp_path) as reloaded:
+            assert reloaded.jobs[key].state == PENDING
+            reloaded.complete(key, worker="w1")  # seals the torn line first
+        with _journal(tmp_path) as final:
+            assert final.stats.recovered_drops == 1
+            assert "torn" in final.summary()
+            assert final.jobs[key].state == DONE
 
     def test_next_append_after_torn_line_still_parses(self, tmp_path):
-        with _manifest(tmp_path) as manifest:
-            manifest.mark(manifest.key("up", "one"), "one")
-        path = tmp_path / "campaign.jsonl"
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write('{"key": "torn')
-        recovered = _manifest(tmp_path)
-        with recovered:
-            two = recovered.key("up", "two")
-            recovered.mark(two, "two")
-        final = _manifest(tmp_path)
-        assert final.is_done(two)
+        one, one_key = _point(tmp_path)
+        two, two_key = _point(tmp_path, workload="SPECfp95")
+        with _journal(tmp_path) as journal:
+            _submit(journal, one, one_key)
+        with (tmp_path / "campaign.jsonl").open("a", encoding="utf-8") as handle:
+            handle.write('{"ev":"submit","job":"torn')
+        with _journal(tmp_path) as recovered:
+            _submit(recovered, two, two_key)
+        with _journal(tmp_path) as final:
+            assert sorted(final.jobs) == sorted([one_key, two_key])
 
 
 class TestQuarantine:
     def test_code_version_mismatch_sets_manifest_aside(self, tmp_path):
-        with _manifest(tmp_path) as manifest:
-            manifest.mark(manifest.key("up", "old"), "old-run")
-        other = CampaignManifest(tmp_path / "campaign.jsonl", code_hash="cafebabe")
-        assert len(other) == 0  # stale results are not trusted
+        spec, key = _point(tmp_path)
+        with _journal(tmp_path) as journal:
+            _submit(journal, spec, key)
+        with _journal(tmp_path, code_hash="cafebabe") as other:
+            assert other.jobs == {}  # stale keys are not trusted
         stale = tmp_path / "campaign.jsonl.stale"
         assert stale.exists()
         header = json.loads(stale.read_text().splitlines()[0])
@@ -103,75 +123,16 @@ class TestQuarantine:
 
     def test_garbage_header_is_quarantined(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
-        path.write_text("this is not a manifest\n")
-        manifest = CampaignManifest(path, code_hash="deadbeef")
-        assert len(manifest) == 0
+        path.write_text("this is not a journal\n")
+        with _journal(tmp_path) as journal:
+            assert journal.jobs == {}
         assert path.with_suffix(".jsonl.stale").exists()
-
-    def test_strict_mode_raises_instead(self, tmp_path):
-        path = tmp_path / "campaign.jsonl"
-        path.write_text("garbage\n")
-        with pytest.raises(CampaignError, match="unrecognised header"):
-            CampaignManifest(path, code_hash="deadbeef", strict=True)
 
     def test_format_bump_is_treated_as_unrecognised(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
         path.write_text(
-            json.dumps({"campaign": MANIFEST_FORMAT + 1, "code": "deadbeef"}) + "\n"
+            json.dumps({"service": JOURNAL_FORMAT + 1, "code": "deadbeef"}) + "\n"
         )
-        manifest = CampaignManifest(path, code_hash="deadbeef")
-        assert len(manifest) == 0
-
-
-def _append_marks(path, code_hash, tag, count):
-    """Child-process body for the concurrent-appender test."""
-    with CampaignManifest(path, code_hash=code_hash) as manifest:
-        for index in range(count):
-            manifest.mark(f"{tag}-{index:04d}", f"label-{tag}-{index}")
-
-
-class TestConcurrentAppenders:
-    def test_two_processes_interleave_at_record_granularity(self, tmp_path):
-        """Two appender processes sharing one manifest: O_APPEND plus
-        single-write line records mean every mark from both survives and
-        no line is torn."""
-        import multiprocessing
-
-        path = tmp_path / "campaign.jsonl"
-        count = 25
-        workers = [
-            multiprocessing.Process(
-                target=_append_marks, args=(path, "deadbeef", tag, count)
-            )
-            for tag in ("left", "right")
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=30)
-            assert worker.exitcode == 0
-        merged = CampaignManifest(path, code_hash="deadbeef")
-        assert merged.recovered_drops == 0
-        assert len(merged) == 2 * count
-        for tag in ("left", "right"):
-            for index in range(count):
-                assert merged.is_done(f"{tag}-{index:04d}")
-
-    def test_duplicate_header_from_racing_fresh_appenders(self, tmp_path):
-        """Two fresh appenders can both decide the file needs a header;
-        the loader must treat the second header as benign, not torn."""
-        path = tmp_path / "campaign.jsonl"
-        with _manifest(tmp_path) as manifest:
-            manifest.mark("aaaa", "one")
-        # Replay the race: a second fresh appender's header landed
-        # between two ordinary records.
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps({"campaign": MANIFEST_FORMAT, "code": "deadbeef"})
-                + "\n"
-            )
-        with _manifest(tmp_path) as manifest:
-            manifest.mark("bbbb", "two")
-        merged = _manifest(tmp_path)
-        assert merged.recovered_drops == 0  # header is not a torn line
-        assert merged.is_done("aaaa") and merged.is_done("bbbb")
+        with _journal(tmp_path) as journal:
+            assert journal.jobs == {}
+        assert path.with_suffix(".jsonl.stale").exists()

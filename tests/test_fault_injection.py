@@ -10,15 +10,14 @@ failure classes the pipeline claims to survive —
    counted drops in ``skip_corrupt`` mode)
 
 — and asserts that the recovered statistics are bit-identical to a
-clean serial run, plus that an interrupted sweep campaign resumed from
-its manifest reproduces the uninterrupted sweep exactly.
+clean serial run, plus that an interrupted sweep campaign rerun against
+its result cache reproduces the uninterrupted sweep exactly.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.campaign import CampaignManifest
 from repro.analysis.policy import RunPolicy
 from repro.analysis.runner import ExperimentRunner, ParallelRunner
 from repro.analysis.sweeps import l2_size_sweep
@@ -216,40 +215,29 @@ class TestDamagedTraces:
 
 class TestResumableCampaign:
     def test_interrupted_sweep_resumes_bit_identically(self, tmp_path):
-        """An interrupted campaign, resumed from its manifest, must
-        reproduce the uninterrupted sweep exactly (acceptance criterion).
+        """An interrupted campaign, rerun against the same result cache,
+        must reproduce the uninterrupted sweep exactly (acceptance
+        criterion) without recomputing what had finished.
         """
         workload = _workload("TPC-C")
         sizes = (1, 2, 4)
         expected = l2_size_sweep(
             sizes_mb=sizes, workload=workload, runner=ExperimentRunner()
         )
-
-        manifest_path = tmp_path / "campaign.jsonl"
         cache_dir = str(tmp_path / "cache")
 
         # "Interrupted" campaign: only the first point completes before
         # the (simulated) kill.
-        first = ParallelRunner(
-            jobs=1,
-            cache_dir=cache_dir,
-            manifest=CampaignManifest(manifest_path),
-        )
+        first = ParallelRunner(jobs=1, cache_dir=cache_dir)
         l2_size_sweep(sizes_mb=sizes[:1], workload=workload, runner=first)
-        first.manifest.close()
         first.close()
 
-        resumed = CampaignManifest(manifest_path)
-        assert resumed.resumed and len(resumed) == 1
-
-        second = ParallelRunner(jobs=2, cache_dir=cache_dir, manifest=resumed)
+        second = ParallelRunner(jobs=2, cache_dir=cache_dir)
         got = l2_size_sweep(sizes_mb=sizes, workload=workload, runner=second)
         assert second.stats.disk_hits == 1  # finished point replayed, not rerun
         assert second.stats.misses == len(sizes) - 1
         assert got.series == expected.series
         assert not got.is_partial
-        assert len(resumed) == len(sizes)
-        resumed.close()
         second.close()
 
 

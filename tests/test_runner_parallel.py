@@ -9,13 +9,11 @@ runs instead of aborting a sweep.  Each property gets a test here.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-
 import pytest
 
 from repro.analysis.runner import ExperimentRunner, ParallelRunner
-from repro.analysis.workloads import Workload, standard_workloads, workload_by_name
+from repro.analysis.workloads import standard_workloads, workload_by_name
+from repro.common import faults
 from repro.model.config import base_config
 
 #: Tiny windows so each simulation finishes in well under a second.
@@ -122,44 +120,25 @@ class TestCacheKeys:
         assert short.cache_key() == again.cache_key()
 
 
-@dataclass
-class _WorkerPoisonedWorkload(Workload):
-    """Raises from :meth:`trace` only after crossing a pickle boundary.
-
-    The runner pickles workloads into its worker processes; this class
-    notices the unpickling (``__setstate__``) and fails there, so a
-    prefetch sees a crashing worker while the parent's in-process
-    fallback still succeeds.
-    """
-
-    def __setstate__(self, state: dict) -> None:
-        super().__setstate__(state)
-        self._poisoned = True
-
-    def trace(self):
-        if getattr(self, "_poisoned", False):
-            raise RuntimeError("poisoned in worker")
-        return super().trace()
-
-
 class TestGracefulDegradation:
     def test_worker_crash_falls_back_in_process(self, tmp_path):
-        healthy = workload_by_name("SPECint95", warm=WARM, timed=TIMED)
-        poisoned = _WorkerPoisonedWorkload(
-            name=healthy.name,
-            profile=healthy.profile,
-            seed=healthy.seed,
-            warm_instructions=healthy.warm_instructions,
-            timed_instructions=healthy.timed_instructions,
-        )
+        """Both worker attempts of the default policy fail; the runner's
+        last resort reruns the point in-process, where worker faults do
+        not fire."""
+        workload = workload_by_name("SPECint95", warm=WARM, timed=TIMED)
         config = base_config()
-        runner = ParallelRunner(jobs=2, cache_dir=str(tmp_path))
-        runner.prefetch(up=[(config, poisoned)])
+        faults.install_spec("worker-raise,times=2")
+        try:
+            runner = ParallelRunner(jobs=2, cache_dir=str(tmp_path))
+            runner.prefetch(up=[(config, workload)])
+        finally:
+            faults.install_spec(None)
+            faults.reset()
         assert runner.stats.worker_fallbacks == 1
         assert runner.stats.runs_in_process == 1
 
-        result = runner.run(config, poisoned)
-        expected = ExperimentRunner().run(config, healthy)
+        result = runner.run(config, workload)
+        expected = ExperimentRunner().run(config, workload)
         assert _stats(result) == _stats(expected)
 
     def test_jobs_must_be_positive(self):
@@ -192,18 +171,3 @@ class TestObservability:
         assert runner.stats.misses == 1
         runner.prefetch(up=[(config, workload)])
         assert runner.stats.misses == 1
-
-
-class TestWorkloadPickling:
-    def test_pickle_drops_generated_traces(self):
-        import pickle
-
-        workload = workload_by_name("SPECfp95", warm=WARM, timed=TIMED)
-        original = workload.trace()
-        clone = pickle.loads(pickle.dumps(workload))
-        assert clone._trace is None and clone._generator is None
-        regenerated = clone.trace()
-        assert len(regenerated) == len(original)
-        assert [r.pc for r in regenerated.records[:200]] == [
-            r.pc for r in original.records[:200]
-        ]

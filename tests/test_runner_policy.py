@@ -8,13 +8,12 @@ Timeout and crash *recovery* paths live in ``test_fault_injection.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import pytest
 
 from repro.analysis.policy import RunPolicy
 from repro.analysis.runner import ParallelRunner
-from repro.analysis.workloads import Workload, workload_by_name
+from repro.analysis.workloads import workload_by_name
+from repro.common import faults
 from repro.common.errors import ConfigError, ExperimentError
 from repro.model.config import base_config
 
@@ -75,34 +74,18 @@ class TestBackoff:
         assert policy.backoff_delay("x", 3) == 0.0
 
 
-@dataclass
-class _AlwaysFailsInWorker(Workload):
-    """Raises from :meth:`trace` after crossing a pickle boundary.
-
-    Unlike an injected fault, this failure never goes away, so it
-    exercises the exhausted-retries endgame of each ``on_failure``
-    policy.
-    """
-
-    def __setstate__(self, state: dict) -> None:
-        super().__setstate__(state)
-        self._poisoned = True
-
-    def trace(self):
-        if getattr(self, "_poisoned", False):
-            raise RuntimeError("poisoned in worker")
-        return super().trace()
+@pytest.fixture(autouse=True)
+def _clean_faults():
+    """No fault spec may leak into other tests (or their workers)."""
+    yield
+    faults.install_spec(None)
+    faults.reset()
 
 
-def _poisoned_workload():
-    healthy = workload_by_name("SPECint95", warm=WARM, timed=TIMED)
-    return _AlwaysFailsInWorker(
-        name=healthy.name,
-        profile=healthy.profile,
-        seed=healthy.seed,
-        warm_instructions=healthy.warm_instructions,
-        timed_instructions=healthy.timed_instructions,
-    )
+def _failing_workload(attempts: int):
+    """SPECint95 whose worker runs raise for the first ``attempts`` tries."""
+    faults.install_spec(f"worker-raise,times={attempts},match=SPECint95")
+    return workload_by_name("SPECint95", warm=WARM, timed=TIMED)
 
 
 def _fast_policy(**kwargs) -> RunPolicy:
@@ -117,12 +100,12 @@ class TestFailurePolicies:
             policy=_fast_policy(retries=1, on_failure="fail"),
         )
         with pytest.raises(ExperimentError, match="SPECint95.*after 2 attempts"):
-            runner.prefetch(up=[(base_config(), _poisoned_workload())])
+            runner.prefetch(up=[(base_config(), _failing_workload(2))])
         assert runner.stats.retries == 1
 
     def test_skip_policy_records_and_continues(self, tmp_path):
         config = base_config()
-        poisoned = _poisoned_workload()
+        poisoned = _failing_workload(1)
         healthy = workload_by_name("SPECfp95", warm=WARM, timed=TIMED)
         runner = ParallelRunner(
             jobs=2,
@@ -143,16 +126,15 @@ class TestFailurePolicies:
     def test_retry_policy_falls_back_in_process(self, tmp_path):
         """Default policy: budget spent => one observable in-process rerun.
 
-        The poisoned workload only fails across the pickle boundary, so
-        the parent-process fallback succeeds — same contract the PR-1
-        crash test pinned, now with an explicit retry budget.
+        Injected worker faults fire only in pool workers, so the
+        coordinator's fallback run succeeds.
         """
         runner = ParallelRunner(
             jobs=2,
             cache_dir=str(tmp_path),
             policy=_fast_policy(retries=2, on_failure="retry"),
         )
-        runner.prefetch(up=[(base_config(), _poisoned_workload())])
+        runner.prefetch(up=[(base_config(), _failing_workload(3))])
         assert runner.stats.retries == 2
         assert runner.stats.worker_fallbacks == 1
         assert runner.stats.runs_in_process == 1

@@ -15,7 +15,8 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.policy import RunPolicy
-from repro.analysis.runner import ExperimentRunner
+from repro.analysis.runner import ExperimentRunner, ParallelRunner
+from repro.analysis.sweeps import l2_size_sweep
 from repro.analysis.workloads import workload_by_name
 from repro.common import faults
 from repro.common.errors import QueueFull
@@ -343,3 +344,58 @@ class TestDegradation:
         assert service.queue.counts()["done"] == 1
         assert _service_stats(service, key) == expected
         service.close()
+
+    def test_in_process_fallback_rereads_its_stored_result(self, tmp_path):
+        """The last-resort in-process run must re-read what it stored,
+        as worker completions do: a corrupted write is stored again,
+        never completed as a job with no loadable result."""
+        expected = _serial_stats("SPECint95")
+        faults.install_spec("worker-raise,times=9;cache-corrupt,times=1")
+        service = _service(
+            tmp_path,
+            jobs=1,
+            policy=RunPolicy(retries=0, backoff_base=0.01, backoff_max=0.05),
+        )
+        key = service.submit_point("SPECint95", warm=WARM, timed=TIMED)
+        service.run()
+        assert service.stats.in_process_fallbacks == 1
+        assert service.cache.stats.corrupt == 1  # the damaged write was seen
+        assert service.queue.jobs[key].state == DONE
+        assert service.cache.load(key) is not None
+        assert _service_stats(service, key) == expected
+        service.close()
+
+
+class TestRunnerChaos:
+    def test_runner_sweep_under_crash_and_hang_is_bit_identical(self, tmp_path):
+        """ParallelRunner drains through the campaign service, so a sweep
+        survives the same storm a ``repro serve`` campaign does — one
+        worker killed, one hung — and matches a serial run exactly."""
+        workload = workload_by_name("TPC-C", warm=WARM, timed=TIMED)
+        sizes = (1, 2, 4)
+        expected = l2_size_sweep(
+            sizes_mb=sizes, workload=workload, runner=ExperimentRunner()
+        )
+
+        faults.install_spec(
+            "worker-crash,times=1,match=l2-1m;worker-hang,times=1,hang=60,match=l2-4m"
+        )
+        runner = ParallelRunner(
+            jobs=2,
+            cache_dir=str(tmp_path / "cache"),
+            policy=RunPolicy(
+                timeout=3.0, retries=2, backoff_base=0.01, backoff_max=0.05
+            ),
+        )
+        try:
+            got = l2_size_sweep(sizes_mb=sizes, workload=workload, runner=runner)
+        finally:
+            runner.close()
+        # The storm actually happened: both faulted points were charged
+        # (the hang by the watchdog or as collateral of the crash).
+        assert runner.stats.retries >= 2
+        assert runner.stats.pool_restarts >= 1
+        assert runner.stats.worker_fallbacks == 0
+        assert got.series == expected.series
+        assert not got.is_partial
+

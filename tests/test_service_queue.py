@@ -14,7 +14,14 @@ import pytest
 
 from repro.common import faults
 from repro.common.errors import QueueFull, ServiceError
-from repro.service.queue import DEAD, DONE, PENDING, RUNNING, JobQueue
+from repro.service.queue import (
+    DEAD,
+    DONE,
+    JOURNAL_FORMAT,
+    PENDING,
+    RUNNING,
+    JobQueue,
+)
 
 T0 = 1_000_000.0  # arbitrary wall-clock origin for explicit-time tests
 
@@ -258,6 +265,59 @@ class TestDurability:
             assert queue.poll() == 0
             assert queue.jobs["key-a"].submissions == 1
             assert queue.stats.submitted == 1
+
+
+def _submit_many(path, tag, count):
+    """Child-process body for the concurrent-appender test."""
+    with JobQueue(path, code_hash="deadbeef") as queue:
+        for index in range(count):
+            _submit(queue, f"{tag}-{index:04d}")
+
+
+class TestConcurrentAppenders:
+    def test_two_processes_interleave_at_record_granularity(self, tmp_path):
+        """Two submitter processes sharing one journal: O_APPEND plus
+        single-write line records mean every record from both survives
+        and no line is torn."""
+        import multiprocessing
+
+        path = tmp_path / "q.jsonl"
+        count = 25
+        workers = [
+            multiprocessing.Process(target=_submit_many, args=(path, tag, count))
+            for tag in ("left", "right")
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+            assert worker.exitcode == 0
+        with JobQueue(path, code_hash="deadbeef") as merged:
+            assert merged.stats.recovered_drops == 0
+            assert merged.stats.submitted == 2 * count
+            assert sorted(merged.jobs) == sorted(
+                f"key-{tag}-{index:04d}"
+                for tag in ("left", "right")
+                for index in range(count)
+            )
+
+    def test_duplicate_header_from_racing_fresh_appenders(self, tmp_path):
+        """Two fresh appenders can both decide the file needs a header;
+        replay must treat the second header as benign, not torn."""
+        path = tmp_path / "q.jsonl"
+        with JobQueue(path, code_hash="deadbeef") as queue:
+            _submit(queue, "a")
+        # Replay the race: a second fresh appender's header landed
+        # between two ordinary records.
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(
+                json.dumps({"service": JOURNAL_FORMAT, "code": "deadbeef"}) + "\n"
+            )
+        with JobQueue(path, code_hash="deadbeef") as queue:
+            _submit(queue, "b")
+        with JobQueue(path, code_hash="deadbeef") as merged:
+            assert merged.stats.recovered_drops == 0  # header is not torn
+            assert sorted(merged.jobs) == ["key-a", "key-b"]
 
 
 class TestServiceFaults:
