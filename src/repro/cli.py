@@ -178,28 +178,19 @@ def _cmd_profile(args: argparse.Namespace) -> None:
 
     from repro.analysis.workloads import workload_by_name
     from repro.core.pipeline import ProcessorCore
-    from repro.model.simulator import (
-        build_hierarchy,
-        prewarm_regions,
-        warm_structures,
-    )
+    from repro.frontend.bht import BranchHistoryTable
+    from repro.model.simulator import build_hierarchy, warm_up
 
     workload = workload_by_name(args.workload, warm=args.warm, timed=args.timed)
     config = _config_by_name(args.config)
-    trace = workload.trace()
-    regions = workload.regions()
-    split = int(len(trace) * workload.warmup_fraction)
-    warm_part = trace.head(split) if split else None
-    timed_part = trace[split:] if split else trace
-
     hierarchy = build_hierarchy(config)
-    core = ProcessorCore(
-        timed_part, hierarchy, config.core, config.frontend, config.bht
+    bht = BranchHistoryTable(config.bht)
+    timed_part = warm_up(
+        hierarchy, bht, workload.trace(), workload.warmup_fraction, workload.regions()
     )
-    if regions:
-        prewarm_regions(hierarchy, regions)
-    if warm_part is not None:
-        warm_structures(hierarchy, core.fetch.bht, warm_part)
+    core = ProcessorCore(
+        timed_part, hierarchy, config.core, config.frontend, config.bht, bht=bht
+    )
 
     print(
         f"profiling {workload.name} ({len(timed_part):,} timed instructions) "
@@ -486,20 +477,16 @@ def _cmd_verify(args: argparse.Namespace) -> None:
 
 
 def _cmd_smp(args: argparse.Namespace) -> None:
+    from repro.analysis.workloads import smp_workload
     from repro.smp.system import run_smp
-    from repro.trace.synth import build_smp_generators, standard_profiles
 
-    generators = build_smp_generators(
-        standard_profiles()["TPC-C"], args.cpus, seed=args.seed
-    )
-    total = args.warm + args.timed
-    traces = [generator.generate(total) for generator in generators]
-    regions = [generator.memory_regions() for generator in generators]
-    print(f"simulating TPC-C ({args.cpus}P) ...")
+    workload = smp_workload(args.cpus, seed=args.seed, warm=args.warm, timed=args.timed)
+    traces, regions = workload.smp_traces(args.cpus)
+    print(f"simulating {workload.name} ...")
     result = run_smp(
         _config_by_name(args.config),
         traces,
-        warmup_fraction=args.warm / total,
+        warmup_fraction=workload.warmup_fraction,
         regions_per_cpu=regions,
     )
     for key, value in result.as_dict().items():

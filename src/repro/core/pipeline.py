@@ -42,8 +42,8 @@ only cost is an ``is None`` test per event site.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, List, Optional
 
 from repro.common.errors import SimulationError
 from repro.core.lsq import LoadResolution, LoadStoreUnit
@@ -86,6 +86,57 @@ def functional_warm(
             bht.warm(record.pc, record.taken)
         count += 1
     return count
+
+
+def step_cores(
+    cores: List["ProcessorCore"],
+    max_cycles: Optional[int] = None,
+    stop: Optional[Callable[[], bool]] = None,
+) -> int:
+    """Step ``cores`` in global cycle order until every one has finished.
+
+    The one stepping loop: a uniprocessor run is the one-core case, and
+    an SMP run steps all unfinished cores on each cycle so their shared
+    bus and coherence traffic is timed against each other.  A cycle on
+    which no core does anything jumps to the earliest cycle at which any
+    unfinished core can act again (:meth:`ProcessorCore._next_cycle`);
+    each core's accountant attributes the skipped span in bulk.
+    ``stop``, polled after every step, ends the run early when it
+    returns True (windowed measurement).  Returns the next unstepped
+    cycle, i.e. the cycle count of a run that went to completion.
+    """
+    active = [core for core in cores if not core.finished]
+    cycle = 0
+    idle_streak = 0
+    while active:
+        if max_cycles is not None and cycle > max_cycles:
+            raise SimulationError(f"exceeded max_cycles={max_cycles}")
+        activity = finished = False
+        for core in active:
+            if core.step_cycle(cycle):
+                activity = True
+                # Only a step with activity (a commit) can finish a core.
+                finished |= core.finished
+        if activity:
+            idle_streak = 0
+            cycle += 1
+        else:
+            idle_streak += 1
+            if idle_streak > _DEADLOCK_LIMIT:
+                raise SimulationError(
+                    f"deadlock at cycle {cycle}: "
+                    + "; ".join(
+                        f"{core._trace_name} committed {core._committed}/"
+                        f"{core._trace_length}, window {core._window_size()}"
+                        for core in active
+                    )
+                )
+            cycle = min(core._next_cycle(cycle) for core in active)
+        if stop is not None and stop():
+            break
+        if finished:
+            active = [core for core in active if not core.finished]
+    return cycle
 
 
 def _cache_counts(cache) -> Dict[str, int]:
@@ -277,24 +328,7 @@ class ProcessorCore:
 
     def run(self, max_cycles: Optional[int] = None) -> CoreStats:
         """Simulate until the whole trace commits; returns the statistics."""
-        cycle = 0
-        idle_streak = 0
-        while not self.finished:
-            if max_cycles is not None and cycle > max_cycles:
-                raise SimulationError(f"exceeded max_cycles={max_cycles}")
-            if self.step_cycle(cycle):
-                idle_streak = 0
-                cycle += 1
-            else:
-                idle_streak += 1
-                if idle_streak > _DEADLOCK_LIMIT:
-                    raise SimulationError(
-                        f"deadlock at cycle {cycle}: committed {self._committed}/"
-                        f"{self._trace_length}, window {self._window_size()}"
-                    )
-                cycle = self._next_cycle(cycle)
-        self.finalize_stats(cycle)
-        return self.stats
+        return self.finalize_stats(step_cores([self], max_cycles))
 
     # ------------------------------------------------------------------
     # Windowed measurement (sampled simulation).
@@ -321,30 +355,19 @@ class ProcessorCore:
         """
         if not 0 <= measure_start < measure_end:
             raise SimulationError("need 0 <= measure_start < measure_end")
-        cycle = 0
-        idle_streak = 0
         start_snap = self._snapshot() if measure_start == 0 else None
         end_snap = None
-        while not self.finished:
-            if max_cycles is not None and cycle > max_cycles:
-                raise SimulationError(f"exceeded max_cycles={max_cycles}")
-            if self.step_cycle(cycle):
-                idle_streak = 0
-                advanced = cycle + 1
-            else:
-                idle_streak += 1
-                if idle_streak > _DEADLOCK_LIMIT:
-                    raise SimulationError(
-                        f"deadlock at cycle {cycle}: committed {self._committed}/"
-                        f"{self._trace_length}, window {self._window_size()}"
-                    )
-                advanced = self._next_cycle(cycle)
+
+        def crossed_end() -> bool:
+            nonlocal start_snap, end_snap
             if start_snap is None and self._committed >= measure_start:
                 start_snap = self._snapshot()
             if self._committed >= measure_end:
                 end_snap = self._snapshot()
-                break
-            cycle = advanced
+                return True
+            return False
+
+        step_cores([self], max_cycles, stop=crossed_end)
         if start_snap is None:
             raise SimulationError(
                 f"measurement start {measure_start} beyond trace "
@@ -416,21 +439,13 @@ class ProcessorCore:
             span = cycles - self._accounted_until
             self._stack[self._classify_stall(self._accounted_until)] += span
             self._accounted_until = cycles
-        self.stats.cpi_stack = prune(self._stack)
         verify_conservation(
             self._stack, cycles, where=f"trace {self._trace_name!r}"
         )
-        self.stats.cycles = cycles
-        self.stats.instructions = self._committed
-        self.stats.decode_stalls = dict(self._decode_stalls)
-        self.stats.load_level_counts = dict(self._load_levels)
-        self.stats.bank_conflicts = self.lsu.bank_conflicts
-        self.stats.store_forwards = self.lsu.forwards
-        self.stats.order_stalls = self.lsu.order_stalls
-        self.stats.fetch_icache_stall_cycles = self.fetch.icache_stall_cycles
-        self.stats.fetch_taken_bubble_cycles = self.fetch.taken_bubble_cycles
-        self.stats.branch_mispredictions = self.fetch.bht.stats.mispredictions
-        self.stats.conditional_branches = self.fetch.bht.stats.conditional_branches
+        snapshot = self._snapshot()
+        snapshot["cpi_stack"] = prune(snapshot["cpi_stack"])
+        for stat in fields(CoreStats):
+            setattr(self.stats, stat.name, snapshot[stat.name])
         return self.stats
 
     def _next_cycle(self, cycle: int) -> int:

@@ -96,7 +96,6 @@ class MachineConfig:
     perfect_l1: bool = False
     perfect_l2: bool = False
     perfect_tlb: bool = False
-    perfect_branch_prediction: bool = False
 
     def __post_init__(self) -> None:
         self.validate()

@@ -19,7 +19,7 @@ The decomposition, matching Figure 7's four categories:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List
 
 from repro.model.config import MachineConfig
@@ -67,7 +67,7 @@ def perfect_variants(config: MachineConfig) -> List[MachineConfig]:
             perfect_l1=True,
             perfect_l2=True,
             perfect_tlb=True,
-            perfect_branch_prediction=True,
+            frontend=replace(config.frontend, perfect_prediction=True),
         ),
     ]
 

@@ -6,10 +6,12 @@ paper's trace-driven simulator does.
 
 Warm-up: the paper's traces are captured after the workload reaches a
 steady state, so its model starts with warm micro-architectural state.
-Synthetic traces start cold; :meth:`PerformanceModel.run` therefore
-*functionally* warms the caches, TLBs and BHT on a leading fraction of
-the trace (touching tags without timing), then runs the timed simulation
-on the remainder.  The timed region never sees its own future.
+Synthetic traces start cold; :func:`warm_up` therefore pre-warms the
+workload's memory regions and *functionally* warms the caches, TLBs and
+BHT on a leading fraction of the trace (touching tags without timing),
+and the timed simulation runs on the remainder.  The timed region never
+sees its own future.  Uniprocessor, sampled, SMP and ``repro profile``
+runs all warm through this one function.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ def warm_structures(
     from zero counters.
     """
     functional_warm(hierarchy, bht, trace.records)
-    # Reset statistics accumulated during warming.
+    # Reset statistics accumulated during pre-warm and warming.
     hierarchy.l1i.stats.__init__()
     hierarchy.l1d.stats.__init__()
     hierarchy.l2.stats.__init__()
@@ -110,6 +112,33 @@ def warm_structures(
     hierarchy.dtlb.stats.__init__()
     if bht is not None:
         bht.stats.__init__()
+
+
+def warm_up(
+    hierarchy: MemoryHierarchy,
+    bht: BranchHistoryTable,
+    trace: Trace,
+    warmup_fraction: float = 0.0,
+    regions: Optional[dict] = None,
+) -> Trace:
+    """Warm one processor's state; return the timed part of ``trace``.
+
+    The one warm-up every run shares (uniprocessor, sampled, each SMP
+    CPU, ``repro profile``): the leading ``warmup_fraction`` of
+    ``trace`` is split off, ``regions`` (from
+    :meth:`TraceGenerator.memory_regions`) are pre-warmed to steady-state
+    residency, the split-off prefix functionally warms caches, TLBs and
+    ``bht``, and the statistics both touched are reset once.
+    """
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ConfigError("warmup_fraction must be in [0, 1)")
+    if len(trace) == 0:
+        raise ConfigError("cannot simulate an empty trace")
+    split = int(len(trace) * warmup_fraction)
+    if regions:
+        prewarm_regions(hierarchy, regions)
+    warm_structures(hierarchy, bht, trace.head(split))
+    return trace[split:] if split else trace
 
 
 class PerformanceModel:
@@ -132,40 +161,20 @@ class PerformanceModel:
         """Simulate ``trace``; the leading fraction warms state untimed.
 
         ``regions`` (from :meth:`TraceGenerator.memory_regions`) enables
-        steady-state pre-warming before the trace-prefix warm-up.
-        ``tracer`` (a :class:`~repro.observe.events.PipelineTracer`)
-        enables per-cycle pipeline event capture for the timed region.
+        steady-state pre-warming before the trace-prefix warm-up (both in
+        :func:`warm_up`).  ``tracer`` (a
+        :class:`~repro.observe.events.PipelineTracer`) enables per-cycle
+        pipeline event capture for the timed region.
         """
-        if not 0.0 <= warmup_fraction < 1.0:
-            raise ConfigError("warmup_fraction must be in [0, 1)")
-        if len(trace) == 0:
-            raise ConfigError("cannot simulate an empty trace")
-
-        split = int(len(trace) * warmup_fraction)
-        warm_part = trace.head(split) if split else None
-        timed_part = trace[split:] if split else trace
-
         config = self.config
         hierarchy = build_hierarchy(config)
-
-        frontend = config.frontend
-        if config.perfect_branch_prediction and not frontend.perfect_prediction:
-            frontend = FrontEndParamsWithPerfect(frontend)
-
+        bht = BranchHistoryTable(config.bht)
+        timed_part = warm_up(hierarchy, bht, trace, warmup_fraction, regions)
         core = ProcessorCore(
-            timed_part, hierarchy, config.core, frontend, config.bht
+            timed_part, hierarchy, config.core, config.frontend, config.bht, bht=bht
         )
         if tracer is not None:
             core.attach_tracer(tracer)
-        if regions:
-            prewarm_regions(hierarchy, regions)
-        if warm_part is not None:
-            warm_structures(hierarchy, core.fetch.bht, warm_part)
-        elif regions:
-            # No trace prefix: still reset the counters the pre-warm touched.
-            hierarchy.l1i.stats.__init__()
-            hierarchy.l1d.stats.__init__()
-            hierarchy.l2.stats.__init__()
 
         started = time.perf_counter()
         core_stats = core.run()
@@ -185,7 +194,7 @@ class PerformanceModel:
             l1_l2_bus_utilization=hierarchy.l1_l2_bus.utilization(core_stats.cycles),
             prefetches_issued=hierarchy.prefetcher.stats.issued,
             sim_speed=core_stats.instructions / elapsed,
-            warmup_instructions=split,
+            warmup_instructions=len(trace) - len(timed_part),
         )
 
     def run_sampled(
@@ -216,8 +225,6 @@ class PerformanceModel:
         # init, so a module-level import would be circular.
         from repro.analysis import estimate
 
-        if len(trace) == 0:
-            raise ConfigError("cannot simulate an empty trace")
         windows = list(plan.windows(len(trace)))
         if not windows:
             raise ConfigError(
@@ -227,12 +234,8 @@ class PerformanceModel:
 
         config = self.config
         hierarchy = build_hierarchy(config)
-        frontend = config.frontend
-        if config.perfect_branch_prediction and not frontend.perfect_prediction:
-            frontend = FrontEndParamsWithPerfect(frontend)
         bht = BranchHistoryTable(config.bht)
-        if regions:
-            prewarm_regions(hierarchy, regions)
+        warm_up(hierarchy, bht, trace, regions=regions)
 
         records = trace.records
         measurements = []
@@ -255,7 +258,7 @@ class PerformanceModel:
                 cpu=trace.cpu,
             )
             core = ProcessorCore(
-                window_trace, hierarchy, config.core, frontend, config.bht, bht=bht
+                window_trace, hierarchy, config.core, config.frontend, config.bht, bht=bht
             )
             detailed += len(window_trace)
             measurements.append(
@@ -310,9 +313,3 @@ class PerformanceModel:
             window_stacks=[m["cpi_stack"] for m in measurements],
         )
 
-
-def FrontEndParamsWithPerfect(frontend):
-    """Copy front-end params with perfect prediction enabled."""
-    from dataclasses import replace
-
-    return replace(frontend, perfect_prediction=True)

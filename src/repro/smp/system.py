@@ -14,21 +14,16 @@ from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
 from typing import Dict, List, Optional
 
-from repro.common.errors import ConfigError, SimulationError
-from repro.core.pipeline import ProcessorCore
+from repro.common.errors import ConfigError
+from repro.core.pipeline import ProcessorCore, step_cores
+from repro.frontend.bht import BranchHistoryTable
 from repro.memory.bus import Bus
 from repro.memory.dram import MemoryController
 from repro.model.config import MachineConfig
-from repro.model.simulator import (
-    build_hierarchy,
-    prewarm_regions,
-    warm_structures,
-)
+from repro.model.simulator import build_hierarchy, warm_up
 from repro.model.stats import SimResult
 from repro.smp.coherence import CoherenceDomain
 from repro.trace.stream import Trace
-
-_DEADLOCK_LIMIT = 100_000
 
 
 @dataclass
@@ -105,12 +100,23 @@ class SmpSystem:
     """An N-way SMP built from one MachineConfig and N per-CPU traces.
 
     Each CPU is a :class:`~repro.core.pipeline.ProcessorCore` over its own
-    L1/L2 hierarchy, stepped one cycle at a time by :meth:`run`.
+    L1/L2 hierarchy, warmed by :func:`~repro.model.simulator.warm_up`
+    exactly as a uniprocessor run is (the leading ``warmup_fraction`` of
+    its trace, after pre-warming ``regions_per_cpu``), then stepped in
+    lock-step with the others by :meth:`run`.
     """
 
-    def __init__(self, config: MachineConfig, traces: List[Trace]) -> None:
+    def __init__(
+        self,
+        config: MachineConfig,
+        traces: List[Trace],
+        warmup_fraction: float = 0.0,
+        regions_per_cpu: Optional[List[dict]] = None,
+    ) -> None:
         if not traces:
             raise ConfigError("need at least one trace")
+        if regions_per_cpu is not None and len(regions_per_cpu) != len(traces):
+            raise ConfigError("one region map per cpu required")
         self.config = config
         self.traces = traces
         self.cpu_count = len(traces)
@@ -131,52 +137,19 @@ class SmpSystem:
                 shared_memory=self.memory,
             )
             self.domain.attach(hierarchy)
+            bht = BranchHistoryTable(config.bht)
+            regions = regions_per_cpu[cpu] if regions_per_cpu is not None else None
+            timed = warm_up(hierarchy, bht, trace, warmup_fraction, regions)
             core = ProcessorCore(
-                trace, hierarchy, config.core, config.frontend, config.bht
+                timed, hierarchy, config.core, config.frontend, config.bht, bht=bht
             )
             self.hierarchies.append(hierarchy)
             self.cores.append(core)
 
-    def warm_up(
-        self,
-        warm_traces: List[Trace],
-        regions_per_cpu: Optional[List[dict]] = None,
-    ) -> None:
-        """Functionally warm each processor's private state."""
-        if len(warm_traces) != self.cpu_count:
-            raise ConfigError("one warm trace per cpu required")
-        for index, (core, hierarchy, trace) in enumerate(
-            zip(self.cores, self.hierarchies, warm_traces)
-        ):
-            if regions_per_cpu is not None:
-                prewarm_regions(hierarchy, regions_per_cpu[index])
-            warm_structures(hierarchy, core.fetch.bht, trace)
-
     def run(self, max_cycles: Optional[int] = None) -> SmpResult:
         """Step all processors in global cycle order until all finish."""
-        cycle = 0
-        idle_streak = 0
         started = time.perf_counter()
-        while True:
-            unfinished = [core for core in self.cores if not core.finished]
-            if not unfinished:
-                break
-            if max_cycles is not None and cycle > max_cycles:
-                raise SimulationError(f"SMP exceeded max_cycles={max_cycles}")
-            activity = False
-            for core in unfinished:
-                activity |= core.step_cycle(cycle)
-            if activity:
-                idle_streak = 0
-                cycle += 1
-            else:
-                idle_streak += 1
-                if idle_streak > _DEADLOCK_LIMIT:
-                    raise SimulationError(f"SMP deadlock at cycle {cycle}")
-                cycle = max(
-                    cycle + 1,
-                    min(core._next_cycle(cycle) for core in unfinished),
-                )
+        cycle = step_cores(self.cores, max_cycles)
         elapsed = max(time.perf_counter() - started, 1e-9)
 
         per_cpu = []
@@ -218,13 +191,10 @@ def run_smp(
     warmup_fraction: float = 0.1,
     regions_per_cpu: Optional[List[dict]] = None,
 ) -> SmpResult:
-    """Convenience: split warmup windows off each trace and run."""
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigError("warmup_fraction must be in [0, 1)")
-    split = int(len(traces[0]) * warmup_fraction)
-    warm_parts = [trace.head(split) for trace in traces]
-    timed_parts = [trace[split:] for trace in traces]
-    system = SmpSystem(config, timed_parts)
-    if split or regions_per_cpu:
-        system.warm_up(warm_parts, regions_per_cpu)
-    return system.run()
+    """Warm each CPU on the leading fraction of its trace, then run.
+
+    Each CPU warms through the same :func:`~repro.model.simulator.warm_up`
+    as :meth:`PerformanceModel.run`, so a one-CPU run reproduces the
+    uniprocessor model's per-core results.
+    """
+    return SmpSystem(config, traces, warmup_fraction, regions_per_cpu).run()

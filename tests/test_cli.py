@@ -53,6 +53,13 @@ class TestParser:
         main(["smp", "--cpus", "2", "--warm", "2000", "--timed", "1000"])
         out = capsys.readouterr().out
         assert "system_ipc" in out
+        assert "TPC-C-2P" in out
+
+    def test_profile(self, capsys):
+        main(["profile", "SPECint95", "--warm", "2000", "--timed", "1000", "--top", "5"])
+        out = capsys.readouterr().out
+        assert "profiling SPECint95 (1,000 timed instructions)" in out
+        assert "trace-instructions/s" in out
 
 
 class TestServiceCommands:

@@ -4,8 +4,9 @@ import pytest
 
 from repro.core.pipeline import ProcessorCore
 from repro.core.params import RsOrganization
+from repro.frontend.bht import BranchHistoryTable
 from repro.isa.opcodes import OpClass
-from repro.model.simulator import build_hierarchy, warm_structures
+from repro.model.simulator import build_hierarchy, warm_structures, warm_up
 from repro.trace.record import TraceRecord, make_branch
 from repro.trace.stream import Trace
 
@@ -346,3 +347,38 @@ class TestIdleSkipAhead:
         # A cold load miss serviced by DRAM (260-cycle latency) must be
         # covered by large jumps, not limped through cycle by cycle.
         assert max_jump > 50
+
+
+class TestMeasuredRunMatchesRun:
+    """``run_measured(0, n)`` over a whole timed trace is ``run()``.
+
+    Both drive the one stepping loop and read the same counter snapshot,
+    so measuring every commit must reproduce the full run's statistics
+    field for field (CPI stack included).
+    """
+
+    @staticmethod
+    def _warmed_core(config, trace):
+        hierarchy = build_hierarchy(config)
+        bht = BranchHistoryTable(config.bht)
+        timed = warm_up(hierarchy, bht, trace, warmup_fraction=0.5)
+        core = ProcessorCore(
+            timed, hierarchy, config.core, config.frontend, config.bht, bht=bht
+        )
+        return core, len(timed)
+
+    @pytest.mark.parametrize(
+        "workload", ["SPECint95", "SPECfp95", "SPECint2000", "SPECfp2000", "TPC-C"]
+    )
+    def test_measuring_every_commit_equals_run(self, table1_config, workload):
+        import dataclasses
+
+        from repro.core.pipeline import CoreStats
+        from repro.trace.synth import generate_trace, standard_profiles
+
+        trace = generate_trace(standard_profiles()[workload], 3000, seed=7)
+        stats = self._warmed_core(table1_config, trace)[0].run()
+        core, timed = self._warmed_core(table1_config, trace)
+        measured = core.run_measured(0, timed)
+        for stat in dataclasses.fields(CoreStats):
+            assert measured[stat.name] == getattr(stats, stat.name), stat.name

@@ -1,5 +1,7 @@
 """Integration tests for the assembled performance model."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.errors import ConfigError
@@ -105,7 +107,7 @@ class TestPerfectStructures:
                 perfect_l1=True,
                 perfect_l2=True,
                 perfect_tlb=True,
-                perfect_branch_prediction=True,
+                frontend=replace(base_config().frontend, perfect_prediction=True),
             )
         ).run(trace, 0.5, regions=regions)
         assert perfect.cycles <= base.cycles

@@ -10,6 +10,8 @@ divergence is an observability bug even when the timing matches.
 The determinism property is also checked on random small machines
 (issue width, window, RS/LSQ sizes, forwarding, perfect prediction,
 prefetch) so the core is driven on shapes no named configuration covers.
+A one-CPU SMP run must reproduce the uniprocessor model's per-core
+results on the standard workloads and on the same random machines.
 
 Hypothesis draws are seeded and bounded (small traces, few examples) so
 the suite stays CI-fast while still exploring the profile × seed space.
@@ -19,13 +21,17 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.workloads import standard_workloads
 from repro.frontend.bht import BHT_4K_2W_1T, BHT_16K_4W_2T
 from repro.model.config import base_config
+from repro.model.perfect import perfect_variants
 from repro.model.simulator import PerformanceModel
 from repro.observe.cpistack import total
+from repro.smp.system import run_smp
 from repro.trace.stream import Trace
 from repro.trace.synth import generate_trace, standard_profiles
 from repro.verify import LogicSimulator, ReverseTracer, cross_check
@@ -77,11 +83,15 @@ def small_configs(draw):
         store_queue=draw(st.sampled_from((5, 10))),
         data_forwarding=draw(st.booleans()),
     )
+    bht = draw(st.sampled_from((BHT_4K_2W_1T, BHT_16K_4W_2T)))
+    frontend = dataclasses.replace(
+        base.frontend, perfect_prediction=draw(st.booleans())
+    )
     return base.derived(
         "prop",
         core=core,
-        bht=draw(st.sampled_from((BHT_4K_2W_1T, BHT_16K_4W_2T))),
-        perfect_branch_prediction=draw(st.booleans()),
+        bht=bht,
+        frontend=frontend,
         prefetch=base.prefetch if draw(st.booleans()) else
         dataclasses.replace(base.prefetch, enabled=False),
     )
@@ -148,3 +158,49 @@ def test_execution_driven_path_conserves(profile, seed):
     program = _synth_program(profile, seed)
     result = LogicSimulator(max_steps=4 * _TRACE_LEN).run(program)
     assert total(result.core.cpi_stack) == result.cycles
+
+
+def _assert_one_cpu_smp_matches_uniprocessor(config, trace, warmup_fraction, regions=None):
+    """A 1-CPU SMP run and the uniprocessor model agree per core.
+
+    Both build the core from the same config, warm it through the same
+    warm-up and step it through the same loop, so every per-core result
+    — statistics, CPI stack, cache counters, TLB and BHT ratios — must
+    be identical.
+    """
+    up = PerformanceModel(config).run(trace, warmup_fraction, regions=regions)
+    smp = run_smp(
+        config,
+        [trace],
+        warmup_fraction,
+        regions_per_cpu=None if regions is None else [regions],
+    ).per_cpu[0]
+    assert smp.core == up.core
+    assert (smp.l1i, smp.l1d, smp.l2) == (up.l1i, up.l1d, up.l2)
+    assert smp.itlb_miss_ratio == up.itlb_miss_ratio
+    assert smp.dtlb_miss_ratio == up.dtlb_miss_ratio
+    assert smp.bht_misprediction_ratio == up.bht_misprediction_ratio
+
+
+@pytest.mark.parametrize("perfect", [False, True], ids=["base", "perfectAll"])
+@pytest.mark.parametrize("workload", standard_workloads(warm=2000, timed=1000),
+                         ids=lambda workload: workload.name)
+def test_one_cpu_smp_matches_uniprocessor(workload, perfect):
+    """Every standard workload, on the base and the all-perfect machine."""
+    config = perfect_variants(base_config())[-1] if perfect else base_config()
+    _assert_one_cpu_smp_matches_uniprocessor(
+        config, workload.trace(), workload.warmup_fraction, workload.regions()
+    )
+
+
+@given(
+    config=small_configs(),
+    profile=st.sampled_from(_DETERMINISM_PROFILES),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    length=st.integers(min_value=500, max_value=3_000),
+)
+@_DETERMINISM_SETTINGS
+def test_one_cpu_smp_matches_uniprocessor_on_small_machines(config, profile, seed, length):
+    """The same agreement on random small machines (perfect prediction drawn)."""
+    trace = generate_trace(standard_profiles()[profile], length, seed=seed)
+    _assert_one_cpu_smp_matches_uniprocessor(config, trace, 0.2)

@@ -7,6 +7,8 @@ from repro.isa.executor import FunctionalExecutor
 from repro.isa.instructions import Instruction, Mnemonic
 from repro.isa.opcodes import OpClass
 from repro.isa.program import Program
+from repro.model.config import base_config
+from repro.model.perfect import perfect_variants
 from repro.trace.synth import generate_trace, standard_profiles
 from repro.verify import (
     MODEL_VERSIONS,
@@ -115,6 +117,16 @@ class TestLogicSimulator:
     def test_cross_check_passes(self, replay_pair):
         _, program, _ = replay_pair
         result = cross_check(program, max_steps=5000)
+        assert result.cycles > 0
+
+    @pytest.mark.parametrize(
+        "variant", range(4), ids=["base", "perfectL2", "perfectL1", "perfectAll"]
+    )
+    def test_cross_check_passes_on_perfect_variants(self, replay_pair, variant):
+        """Both paths honour every Figure 7 perfect-structure knob."""
+        _, program, _ = replay_pair
+        config = perfect_variants(base_config())[variant]
+        result = cross_check(program, config=config, max_steps=5000)
         assert result.cycles > 0
 
     def test_cross_check_detects_divergence(self):
