@@ -1,29 +1,34 @@
-"""Experiment runners: serial (in-process) and parallel (multi-process).
+"""The experiment runner: one memoising path for every simulation point.
 
 Several figures share runs (e.g. the Table 1 base configuration on all
 five workloads appears in Figures 8, 9, 11, 14, 16 and 18 as the
-baseline), so both runners memoise results — keyed by a *content hash*
-of the configuration plus the workload's cache key, never by display
-name alone, so two configs that share a name but differ in any
-parameter cannot alias.
+baseline), so the runner memoises results — keyed by a *content hash*
+of the configuration plus the workload's cache key and the processor
+count (``None`` for a uniprocessor point), never by display name alone,
+so two configs that share a name but differ in any parameter cannot
+alias.
 
-:class:`ParallelRunner` extends the serial runner with
+A plain :class:`ExperimentRunner` simulates every memo miss in-process.
+:class:`ParallelRunner` is the same runner built with two more parts:
 
-- **fan-out**: :meth:`~ParallelRunner.prefetch` submits a batch of
-  independent (config, workload[, cpu_count]) simulations as jobs to
-  the runner's own :class:`~repro.service.service.CampaignService` and
-  drains it over ``jobs`` worker processes.  The service is the repo's
-  one fault-tolerant executor: per-run wall-clock timeouts with a
-  watchdog that kills and respawns a hung pool, bounded retries with
+- **a result store**: on a memo miss the runner reads the
+  :class:`~repro.analysis.cache.ResultCache` before simulating, and
+  stores what it simulates, so regenerating a figure a second time is
+  near-instant and rerunning an interrupted campaign resumes from
+  whatever it had finished;
+- **a campaign service**: :meth:`~ExperimentRunner.prefetch` submits a
+  batch of independent points as jobs to the runner's own
+  :class:`~repro.service.service.CampaignService` and drains it over
+  ``jobs`` worker processes.  The service is the repo's one
+  fault-tolerant executor: per-run wall-clock timeouts with a watchdog
+  that kills and respawns a hung pool, bounded retries with
   deterministic jittered backoff, and the
   :class:`~repro.analysis.policy.RunPolicy` last resort (``retry``
-  in-process / ``fail`` loudly / ``skip`` and record);
-- **persistence**: results are memoised to disk through
-  :class:`~repro.analysis.cache.ResultCache`, so regenerating a figure a
-  second time is near-instant, and rerunning an interrupted campaign
-  resumes from whatever it had finished;
-- **observability**: per-run wall-clock, worker id, and hit/miss,
-  retry, timeout and pool-restart counters.
+  in-process / ``fail`` loudly / ``skip`` and record).  A skipped point
+  reads back as ``None`` from :meth:`~ExperimentRunner.try_run`.
+
+Every runner counts memory hits, disk hits, misses, retries, timeouts
+and pool restarts, and records per-run wall-clock and worker id.
 
 Determinism: the simulation depends only on (config, trace) and every
 trace is regenerated in the worker from an explicit seed
@@ -39,7 +44,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.cache import ResultCache
 from repro.analysis.policy import RunPolicy
@@ -54,15 +59,30 @@ from repro.smp.system import SmpResult, run_smp
 UpRequest = Tuple[MachineConfig, Workload]
 #: (config, workload, cpu_count) triple for an SMP prefetch.
 SmpRequest = Tuple[MachineConfig, Workload, int]
+#: (config hash, workload key, cpu count or None for a uniprocessor run).
+PointKey = Tuple[str, str, Optional[int]]
+Result = Union[SimResult, SmpResult]
 
 
-def _run_up(config: MachineConfig, workload: Workload) -> SimResult:
-    """One uniprocessor simulation, in whichever process this runs.
+def simulate(
+    config: MachineConfig, workload: Workload, cpus: Optional[int] = None
+) -> Result:
+    """One simulation point, in whichever process this runs.
 
-    A workload carrying a :class:`~repro.trace.sampling.SamplingPlan`
-    runs sampled (the plan's per-window warm-up replaces the trace-prefix
-    warm-up fraction); otherwise it runs in full detail.
+    With ``cpus`` set, an SMP run over per-CPU traces of ``workload``.
+    Otherwise a uniprocessor run: sampled when the workload carries a
+    :class:`~repro.trace.sampling.SamplingPlan` (the plan's per-window
+    warm-up replaces the trace-prefix warm-up fraction), else in full
+    detail.
     """
+    if cpus is not None:
+        traces, regions = workload.smp_traces(cpus)
+        return run_smp(
+            config,
+            traces,
+            warmup_fraction=workload.warmup_fraction,
+            regions_per_cpu=regions,
+        )
     model = PerformanceModel(config)
     if workload.sampling is not None:
         return model.run_sampled(
@@ -75,15 +95,45 @@ def _run_up(config: MachineConfig, workload: Workload) -> SimResult:
     )
 
 
-def _run_smp(config: MachineConfig, workload: Workload, cpu_count: int) -> SmpResult:
-    """One SMP simulation, in whichever process this runs."""
-    traces, regions = workload.smp_traces(cpu_count)
-    return run_smp(
-        config,
-        traces,
-        warmup_fraction=workload.warmup_fraction,
-        regions_per_cpu=regions,
-    )
+def result_meta(result: Result, workload: Workload, cpus: Optional[int]) -> dict:
+    """The ``meta`` a stored result carries, however it was produced."""
+    meta = {"config": result.config_name, "workload": workload.name}
+    if cpus is not None:
+        meta["cpus"] = cpus
+    return meta
+
+
+def point_label(workload_name: str, config_name: str, cpus: Optional[int]) -> str:
+    """A point's run label, ``workload@config`` or ``workloadxNP@config``:
+    what run records, skip lists and fault ``match=`` patterns see."""
+    size = "" if cpus is None else f"x{cpus}P"
+    return f"{workload_name}{size}@{config_name}"
+
+
+def _point_key(
+    config: MachineConfig, workload: Workload, cpus: Optional[int]
+) -> PointKey:
+    # Always recomputed from content: memoising the hash by
+    # ``id(config)`` is tempting but wrong — CPython reuses addresses
+    # after garbage collection, so a transient config can inherit a
+    # freed object's hash and silently alias a different machine.
+    return (config.content_hash(), workload.cache_key(), cpus)
+
+
+def _cache_key(cache: ResultCache, key: PointKey) -> str:
+    return cache.key("up" if key[2] is None else "smp", *key)
+
+
+def _decode(cpus: Optional[int], payload: Optional[dict]) -> Optional[Result]:
+    if payload is None:
+        return None
+    try:
+        if cpus is None:
+            return sim_result_from_dict(payload)
+        return SmpResult.from_dict(payload)
+    except (ValueError, TypeError, KeyError):
+        # Payload from an incompatible writer: treat as a miss.
+        return None
 
 
 @dataclass
@@ -133,120 +183,179 @@ class RunnerStats:
 
 
 class ExperimentRunner:
-    """Runs (config, workload) pairs serially, caching results in memory."""
+    """Runs simulation points, caching results in memory.
+
+    A plain runner has no result store (:attr:`cache` is ``None``) and no
+    campaign service, so :meth:`prefetch` is a no-op and every memo miss
+    runs in-process; :class:`ParallelRunner` supplies both.
+    """
 
     def __init__(self, verbose: bool = False) -> None:
         self.verbose = verbose
         self.stats = RunnerStats()
-        self._up_cache: Dict[Tuple[str, str], SimResult] = {}
-        self._smp_cache: Dict[Tuple[str, str, int], SmpResult] = {}
-
-    # -- keys ------------------------------------------------------------
-    #
-    # Keys are always recomputed from content: memoising the hash by
-    # ``id(config)`` is tempting but wrong — CPython reuses addresses
-    # after garbage collection, so a transient config can inherit a
-    # freed object's hash and silently alias a different machine.
-
-    def _up_key(self, config: MachineConfig, workload: Workload) -> Tuple[str, str]:
-        return (config.content_hash(), workload.cache_key())
-
-    def _smp_key(
-        self, config: MachineConfig, workload: Workload, cpu_count: int
-    ) -> Tuple[str, str, int]:
-        return (config.content_hash(), workload.cache_key(), cpu_count)
-
-    # -- logging ---------------------------------------------------------
+        #: Optional persistent result store, read before simulating.
+        self.cache: Optional[ResultCache] = None
+        #: Optional campaign service that :meth:`prefetch` drains through.
+        self._service = None
+        self._results: Dict[PointKey, Result] = {}
+        #: Points abandoned under the ``skip`` failure policy.
+        self._skipped: Set[PointKey] = set()
 
     def _log(self, message: str) -> None:
         if self.verbose:
             print(message)
 
-    # -- execution -------------------------------------------------------
+    # -- the one result path ---------------------------------------------
+
+    def _result(
+        self,
+        config: MachineConfig,
+        workload: Workload,
+        cpus: Optional[int],
+        required: bool,
+    ) -> Optional[Result]:
+        """Memo, then disk, then an in-process run; ``None`` for a point
+        the ``skip`` policy abandoned, unless ``required``."""
+        key = _point_key(config, workload, cpus)
+        if key in self._skipped:
+            if not required:
+                return None
+            retry = "try_run" if cpus is None else "try_run_smp"
+            raise ExperimentError(
+                f"{point_label(workload.name, config.name, cpus)} was abandoned after "
+                f"repeated failures (policy on_failure=skip); use {retry}() "
+                f"to render partial results"
+            )
+        result = self._results.get(key)
+        if result is not None:
+            self.stats.memory_hits += 1
+            return result
+        label = point_label(workload.name, config.name, cpus)
+        result = self._load(key)
+        if result is not None:
+            self.stats.disk_hits += 1
+            self._log(f"  [cache] {label}")
+        else:
+            self.stats.misses += 1
+            self._log(f"  running {label} ...")
+            started = time.perf_counter()
+            result = simulate(config, workload, cpus)
+            self.stats.record_run(label, time.perf_counter() - started, None)
+            if self.cache is not None:
+                self.cache.store(
+                    _cache_key(self.cache, key),
+                    result.to_dict(),
+                    meta=result_meta(result, workload, cpus),
+                )
+        self._results[key] = result
+        return result
+
+    def _load(self, key: PointKey) -> Optional[Result]:
+        if self.cache is None:
+            return None
+        return _decode(key[2], self.cache.load(_cache_key(self.cache, key)))
 
     def run(self, config: MachineConfig, workload: Workload) -> SimResult:
         """Uniprocessor run of ``workload`` on ``config`` (cached)."""
-        key = self._up_key(config, workload)
-        result = self._up_cache.get(key)
-        if result is None:
-            result = self._fetch_up(key, config, workload)
-            self._up_cache[key] = result
-        else:
-            self.stats.memory_hits += 1
-        return result
+        return self._result(config, workload, None, required=True)
 
     def run_smp(
         self, config: MachineConfig, workload: Workload, cpu_count: int
     ) -> SmpResult:
         """SMP run with per-CPU traces of ``workload`` (cached)."""
-        key = self._smp_key(config, workload, cpu_count)
-        result = self._smp_cache.get(key)
-        if result is None:
-            result = self._fetch_smp(key, config, workload, cpu_count)
-            self._smp_cache[key] = result
-        else:
-            self.stats.memory_hits += 1
-        return result
-
-    def _fetch_up(
-        self, key: Tuple[str, str], config: MachineConfig, workload: Workload
-    ) -> SimResult:
-        """Produce an uncached uniprocessor result (serial: just run)."""
-        self.stats.misses += 1
-        self._log(f"  running {workload.name} on {config.name} ...")
-        started = time.perf_counter()
-        result = _run_up(config, workload)
-        self.stats.record_run(
-            f"{workload.name}@{config.name}", time.perf_counter() - started, None
-        )
-        return result
-
-    def _fetch_smp(
-        self,
-        key: Tuple[str, str, int],
-        config: MachineConfig,
-        workload: Workload,
-        cpu_count: int,
-    ) -> SmpResult:
-        """Produce an uncached SMP result (serial: just run)."""
-        self.stats.misses += 1
-        self._log(f"  running {workload.name} x{cpu_count}P on {config.name} ...")
-        started = time.perf_counter()
-        result = _run_smp(config, workload, cpu_count)
-        self.stats.record_run(
-            f"{workload.name}x{cpu_count}P@{config.name}",
-            time.perf_counter() - started,
-            None,
-        )
-        return result
-
-    def prefetch(
-        self,
-        up: Sequence[UpRequest] = (),
-        smp: Sequence[SmpRequest] = (),
-    ) -> None:
-        """Hint that these runs are coming.  Serial runner: no-op (lazy)."""
+        return self._result(config, workload, cpu_count, required=True)
 
     def try_run(
         self, config: MachineConfig, workload: Workload
     ) -> Optional[SimResult]:
         """Like :meth:`run`, but ``None`` for a run abandoned by policy.
 
-        The serial runner never abandons a run, so this is plain
-        :meth:`run`; sweeps call it so the same code renders partial
-        tables when a parallel runner skipped points.
+        Sweeps and figures call it so the same code renders partial
+        tables when a campaign skipped points.
         """
-        return self.run(config, workload)
+        return self._result(config, workload, None, required=False)
 
     def try_run_smp(
         self, config: MachineConfig, workload: Workload, cpu_count: int
     ) -> Optional[SmpResult]:
         """SMP counterpart of :meth:`try_run`."""
-        return self.run_smp(config, workload, cpu_count)
+        return self._result(config, workload, cpu_count, required=False)
+
+    # -- parallel fan-out ------------------------------------------------
+
+    def prefetch(
+        self,
+        up: Sequence[UpRequest] = (),
+        smp: Sequence[SmpRequest] = (),
+    ) -> None:
+        """Execute a batch of runs across workers, filling the memo.
+
+        A runner without a campaign service returns at once and runs
+        each point lazily.  Otherwise requests already satisfied by the
+        memo or the result store are skipped; the rest are submitted as
+        jobs to the service and drained over its worker processes, which
+        retries, times out and falls back per the runner's policy — a
+        single crash or hang never loses the batch.
+        """
+        if self._service is None:
+            return
+        from repro.service.jobs import job_spec
+        from repro.service.queue import DEAD
+        from repro.service.service import ServiceStats
+
+        #: memo key -> service job key, in request order.
+        pending: Dict[PointKey, str] = {}
+        points = [(config, workload, None) for config, workload in up] + list(smp)
+        for config, workload, cpus in points:
+            key = _point_key(config, workload, cpus)
+            if key in self._results or key in pending or key in self._skipped:
+                continue
+            cached = self._load(key)
+            if cached is not None:
+                self.stats.disk_hits += 1
+                self._results[key] = cached
+                continue
+            pending[key] = self._service.submit_spec(job_spec(config, workload, cpus))
+        if not pending:
+            return
+        self.stats.misses += len(pending)
+        self._log(
+            f"  fanning {len(pending)} runs out over {self._service.jobs} workers ..."
+        )
+
+        self._service.stats = ServiceStats()
+        try:
+            self._service.run()
+        finally:
+            drained = self._service.stats
+            self.stats.retries += drained.retries
+            self.stats.timeouts += drained.timeouts
+            self.stats.pool_restarts += drained.pool_restarts
+            self.stats.worker_fallbacks += drained.in_process_fallbacks
+            self.stats.skipped.extend(drained.skipped)
+            for label, seconds, pid in drained.runs:
+                self.stats.record_run(label, seconds, pid)
+
+        jobs = self._service.queue.jobs
+        for key, job_key in pending.items():
+            if jobs[job_key].state == DEAD:
+                self._skipped.add(key)
+                continue
+            # An entry that cannot be read back stays uninstalled; the
+            # in-process path recomputes it on demand.
+            result = _decode(key[2], self._service.cache.load(job_key))
+            if result is not None:
+                self._results[key] = result
+
+    # -- reporting -------------------------------------------------------
 
     def cached_results(self) -> Dict[Tuple[str, str], SimResult]:
         """All uniprocessor results produced so far."""
-        return dict(self._up_cache)
+        return {
+            (config_hash, workload_key): result
+            for (config_hash, workload_key, cpus), result in self._results.items()
+            if cpus is None
+        }
 
     def metrics(self) -> Dict[Tuple[str, str], Dict[str, float]]:
         """Flat registry metrics for every uniprocessor result so far.
@@ -258,17 +367,41 @@ class ExperimentRunner:
         """
         from repro.observe.registry import collect
 
-        return {key: collect(result) for key, result in self._up_cache.items()}
+        return {key: collect(result) for key, result in self.cached_results().items()}
+
+    def summary(self) -> str:
+        """One-line observability summary (cache + execution counters)."""
+        stats = self.stats
+        parts = [
+            f"memory hits {stats.memory_hits}",
+            f"disk hits {stats.disk_hits}",
+            f"misses {stats.misses}",
+            f"in-process runs {stats.runs_in_process}",
+            f"worker runs {stats.runs_in_workers}",
+            f"fallbacks {stats.worker_fallbacks}",
+            f"sim time {stats.total_run_seconds:.1f}s",
+        ]
+        if stats.retries:
+            parts.append(f"retries {stats.retries}")
+        if stats.timeouts:
+            parts.append(f"timeouts {stats.timeouts}")
+        if stats.pool_restarts:
+            parts.append(f"pool restarts {stats.pool_restarts}")
+        if stats.skipped:
+            parts.append(f"skipped {len(stats.skipped)}")
+        if self.cache is not None:
+            parts.append(f"cache corrupt {self.cache.stats.corrupt}")
+        return ", ".join(parts)
 
 
 class ParallelRunner(ExperimentRunner):
-    """Multi-process experiment runner with a persistent disk cache.
+    """An :class:`ExperimentRunner` with a campaign service and a store.
 
     ``jobs`` bounds the worker pool :meth:`prefetch` drains through;
-    individual :meth:`run`/:meth:`run_smp` calls always execute
-    in-process (one simulation cannot be split), so figure and sweep
-    code prefetches its whole (config × workload) matrix first and then
-    reads results back through the ordinary serial interface.
+    individual :meth:`run`/:meth:`run_smp` calls on a point not yet
+    prefetched execute in-process (one simulation cannot be split), so
+    figure and sweep code prefetches its whole (config × workload)
+    matrix first and then reads results back one point at a time.
 
     ``policy`` governs failure handling for worker runs (timeouts,
     retries, backoff; see :class:`~repro.analysis.policy.RunPolicy`).
@@ -276,7 +409,8 @@ class ParallelRunner(ExperimentRunner):
     for its whole lifetime, so the worker pool and each worker's
     workload memo survive between prefetch batches.  The service's job
     journal lives in a private temporary directory, and so does its
-    result store when ``use_cache`` is off.
+    result store when ``use_cache`` is off (the runner then reads no
+    store of its own).
     """
 
     def __init__(
@@ -305,8 +439,6 @@ class ParallelRunner(ExperimentRunner):
             verbose=verbose,
         )
         self.cache = self._service.cache if use_cache else None
-        #: Keys abandoned under the ``skip`` failure policy.
-        self._skipped: Set[Tuple[str, Tuple]] = set()
 
     def close(self) -> None:
         """Shut the worker pool down (also safe to never call)."""
@@ -318,200 +450,3 @@ class ParallelRunner(ExperimentRunner):
             self.close()
         except Exception:
             pass
-
-    # -- disk cache ------------------------------------------------------
-
-    def _memo(self, kind: str) -> dict:
-        return self._up_cache if kind == "up" else self._smp_cache
-
-    @staticmethod
-    def _decode(kind: str, payload: Optional[dict]):
-        if payload is None:
-            return None
-        try:
-            if kind == "up":
-                return sim_result_from_dict(payload)
-            return SmpResult.from_dict(payload)
-        except (ValueError, TypeError, KeyError):
-            # Payload from an incompatible writer: treat as a miss.
-            return None
-
-    def _disk_load(self, kind: str, key: Tuple):
-        if self.cache is None:
-            return None
-        return self._decode(kind, self.cache.load(self.cache.key(kind, *key)))
-
-    def _disk_store(
-        self, kind: str, key: Tuple, result, workload: Workload
-    ) -> None:
-        if self.cache is None:
-            return
-        meta = {"config": result.config_name, "workload": workload.name}
-        if kind == "smp":
-            meta["cpus"] = key[2]
-        self.cache.store(self.cache.key(kind, *key), result.to_dict(), meta=meta)
-
-    # -- skip policy -----------------------------------------------------
-
-    def _is_skipped(self, kind: str, key: Tuple) -> bool:
-        return (kind, key) in self._skipped
-
-    def run(self, config: MachineConfig, workload: Workload) -> SimResult:
-        key = self._up_key(config, workload)
-        if self._is_skipped("up", key):
-            raise ExperimentError(
-                f"{workload.name}@{config.name} was abandoned after repeated "
-                f"failures (policy on_failure=skip); use try_run() to render "
-                f"partial results"
-            )
-        return super().run(config, workload)
-
-    def run_smp(
-        self, config: MachineConfig, workload: Workload, cpu_count: int
-    ) -> SmpResult:
-        key = self._smp_key(config, workload, cpu_count)
-        if self._is_skipped("smp", key):
-            raise ExperimentError(
-                f"{workload.name}x{cpu_count}P@{config.name} was abandoned "
-                f"after repeated failures (policy on_failure=skip); use "
-                f"try_run_smp() to render partial results"
-            )
-        return super().run_smp(config, workload, cpu_count)
-
-    def try_run(
-        self, config: MachineConfig, workload: Workload
-    ) -> Optional[SimResult]:
-        if self._is_skipped("up", self._up_key(config, workload)):
-            return None
-        return super().run(config, workload)
-
-    def try_run_smp(
-        self, config: MachineConfig, workload: Workload, cpu_count: int
-    ) -> Optional[SmpResult]:
-        if self._is_skipped("smp", self._smp_key(config, workload, cpu_count)):
-            return None
-        return super().run_smp(config, workload, cpu_count)
-
-    # -- serial-path overrides (memo miss) -------------------------------
-
-    def _fetch_up(
-        self, key: Tuple[str, str], config: MachineConfig, workload: Workload
-    ) -> SimResult:
-        cached = self._disk_load("up", key)
-        if cached is not None:
-            self.stats.disk_hits += 1
-            self._log(f"  [cache] {workload.name} on {config.name}")
-            return cached
-        result = super()._fetch_up(key, config, workload)
-        self._disk_store("up", key, result, workload)
-        return result
-
-    def _fetch_smp(
-        self,
-        key: Tuple[str, str, int],
-        config: MachineConfig,
-        workload: Workload,
-        cpu_count: int,
-    ) -> SmpResult:
-        cached = self._disk_load("smp", key)
-        if cached is not None:
-            self.stats.disk_hits += 1
-            self._log(f"  [cache] {workload.name} x{cpu_count}P on {config.name}")
-            return cached
-        result = super()._fetch_smp(key, config, workload, cpu_count)
-        self._disk_store("smp", key, result, workload)
-        return result
-
-    # -- parallel fan-out ------------------------------------------------
-
-    def prefetch(
-        self,
-        up: Sequence[UpRequest] = (),
-        smp: Sequence[SmpRequest] = (),
-    ) -> None:
-        """Execute a batch of runs across workers, filling the caches.
-
-        Requests already satisfied by the in-memory memo or the disk
-        cache are skipped; the rest are submitted as jobs to the
-        runner's campaign service and drained over ``jobs`` worker
-        processes, which retries, times out and falls back per
-        ``policy`` — a single crash or hang never loses the batch.
-        """
-        from repro.service.jobs import job_spec
-        from repro.service.queue import DEAD
-        from repro.service.service import ServiceStats
-
-        requests = [
-            ("up", self._up_key(config, workload), config, workload, None)
-            for config, workload in up
-        ] + [
-            ("smp", self._smp_key(config, workload, cpus), config, workload, cpus)
-            for config, workload, cpus in smp
-        ]
-        #: (kind, memo key) -> service job key, in request order.
-        pending: Dict[Tuple[str, Tuple], str] = {}
-        for kind, key, config, workload, cpus in requests:
-            if key in self._memo(kind) or (kind, key) in pending:
-                continue
-            if self._is_skipped(kind, key):
-                continue
-            cached = self._disk_load(kind, key)
-            if cached is not None:
-                self.stats.disk_hits += 1
-                self._memo(kind)[key] = cached
-                continue
-            pending[(kind, key)] = self._service.submit_spec(
-                job_spec(config, workload, cpus)
-            )
-        if not pending:
-            return
-        self.stats.misses += len(pending)
-        self._log(f"  fanning {len(pending)} runs out over {self.jobs} workers ...")
-
-        self._service.stats = ServiceStats()
-        try:
-            self._service.run()
-        finally:
-            drained = self._service.stats
-            self.stats.retries += drained.retries
-            self.stats.timeouts += drained.timeouts
-            self.stats.pool_restarts += drained.pool_restarts
-            self.stats.worker_fallbacks += drained.in_process_fallbacks
-            self.stats.skipped.extend(drained.skipped)
-            for label, seconds, pid in drained.runs:
-                self.stats.record_run(label, seconds, pid)
-
-        jobs = self._service.queue.jobs
-        for (kind, key), job_key in pending.items():
-            if jobs[job_key].state == DEAD:
-                self._skipped.add((kind, key))
-                continue
-            # An entry that cannot be read back stays uninstalled; the
-            # serial path recomputes it on demand.
-            result = self._decode(kind, self._service.cache.load(job_key))
-            if result is not None:
-                self._memo(kind)[key] = result
-
-    def summary(self) -> str:
-        """One-line observability summary (cache + execution counters)."""
-        stats = self.stats
-        parts = [
-            f"memory hits {stats.memory_hits}",
-            f"disk hits {stats.disk_hits}",
-            f"misses {stats.misses}",
-            f"in-process runs {stats.runs_in_process}",
-            f"worker runs {stats.runs_in_workers}",
-            f"fallbacks {stats.worker_fallbacks}",
-            f"sim time {stats.total_run_seconds:.1f}s",
-        ]
-        if stats.retries:
-            parts.append(f"retries {stats.retries}")
-        if stats.timeouts:
-            parts.append(f"timeouts {stats.timeouts}")
-        if stats.pool_restarts:
-            parts.append(f"pool restarts {stats.pool_restarts}")
-        if stats.skipped:
-            parts.append(f"skipped {len(stats.skipped)}")
-        if self.cache is not None:
-            parts.append(f"cache corrupt {self.cache.stats.corrupt}")
-        return ", ".join(parts)

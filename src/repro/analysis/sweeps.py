@@ -16,21 +16,15 @@ study performance architects run between the printed ones:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.report import format_table
-from repro.analysis.runner import ExperimentRunner, ParallelRunner
+from repro.analysis.runner import ExperimentRunner, point_label
 from repro.analysis.workloads import Workload, smp_workload, workload_by_name
 from repro.frontend.bht import BhtParams
 from repro.model.config import MachineConfig, base_config
-from repro.model.stats import SampledSimResult
-
-
-def _default_runner(jobs: int) -> ExperimentRunner:
-    """Serial runner for jobs=1, process-pool runner above that."""
-    if jobs > 1:
-        return ParallelRunner(jobs=jobs)
-    return ExperimentRunner()
+from repro.model.stats import SampledSimResult, SimResult
+from repro.smp.system import SmpResult
 
 
 def _ipc_error_series(results: Sequence) -> Optional[List[Optional[float]]]:
@@ -88,15 +82,62 @@ class SweepResult:
         return table
 
 
+def _tabulate(
+    title: str,
+    axis: str,
+    points: Sequence[object],
+    requests: Sequence[tuple],
+    results: Sequence,
+    metrics: Dict[str, Callable],
+) -> SweepResult:
+    """One sweep's table: ``metrics`` of each result, ``None`` (and a
+    ``missing`` label) where the failure policy skipped the point, plus
+    the ``IPC ±95%`` column when any result is sampled."""
+    series: Dict[str, List[Optional[float]]] = {
+        name: [None if result is None else metric(result) for result in results]
+        for name, metric in metrics.items()
+    }
+    errors = _ipc_error_series(results)
+    if errors is not None:
+        series["IPC ±95%"] = errors
+    return SweepResult(
+        title=title,
+        axis=axis,
+        points=list(points),
+        series=series,
+        missing=[
+            point_label(workload.name, config.name, cpus)
+            for (config, workload, cpus), result in zip(requests, results)
+            if result is None
+        ],
+    )
+
+
+def _config_sweep(
+    title: str,
+    axis: str,
+    points: Sequence[object],
+    configs: Sequence[MachineConfig],
+    workload: Workload,
+    runner: Optional[ExperimentRunner],
+    metrics: Dict[str, Callable[[SimResult], float]],
+) -> SweepResult:
+    """A uniprocessor sweep: ``workload`` on each of ``configs``."""
+    runner = runner or ExperimentRunner()
+    runner.prefetch(up=[(config, workload) for config in configs])
+    results = [runner.try_run(config, workload) for config in configs]
+    requests = [(config, workload, None) for config in configs]
+    return _tabulate(
+        f"{title} on {workload.name}", axis, points, requests, results, metrics
+    )
+
+
 def l2_size_sweep(
     sizes_mb: Sequence[int] = (1, 2, 4, 8),
     workload: Optional[Workload] = None,
     runner: Optional[ExperimentRunner] = None,
-    jobs: int = 1,
 ) -> SweepResult:
     """IPC and L2 miss ratio versus on-chip L2 capacity (TPC-C)."""
-    workload = workload or workload_by_name("TPC-C")
-    runner = runner or _default_runner(jobs)
     base = base_config()
     configs = [
         base.derived(
@@ -107,28 +148,14 @@ def l2_size_sweep(
         )
         for size in sizes_mb
     ]
-    runner.prefetch(up=[(config, workload) for config in configs])
-    results = [runner.try_run(config, workload) for config in configs]
-    missing = [
-        f"{workload.name}@{config.name}"
-        for config, result in zip(configs, results)
-        if result is None
-    ]
-    series: Dict[str, List[Optional[float]]] = {
-        "IPC": [r.ipc if r is not None else None for r in results],
-        "L2 miss ratio": [
-            r.miss_ratio("l2") if r is not None else None for r in results
-        ],
-    }
-    errors = _ipc_error_series(results)
-    if errors is not None:
-        series["IPC ±95%"] = errors
-    return SweepResult(
-        title=f"L2 capacity sweep on {workload.name}",
-        axis="L2 (MB)",
-        points=list(sizes_mb),
-        series=series,
-        missing=missing,
+    return _config_sweep(
+        "L2 capacity sweep",
+        "L2 (MB)",
+        sizes_mb,
+        configs,
+        workload or workload_by_name("TPC-C"),
+        runner,
+        {"IPC": lambda r: r.ipc, "L2 miss ratio": lambda r: r.miss_ratio("l2")},
     )
 
 
@@ -136,35 +163,21 @@ def window_size_sweep(
     sizes: Sequence[int] = (16, 32, 64, 128),
     workload: Optional[Workload] = None,
     runner: Optional[ExperimentRunner] = None,
-    jobs: int = 1,
 ) -> SweepResult:
     """IPC versus instruction-window (commit stack) depth."""
-    workload = workload or workload_by_name("SPECint95")
-    runner = runner or _default_runner(jobs)
     base = base_config()
     configs = [
         base.derived(f"window-{size}", core=base.core.derived(window_size=size))
         for size in sizes
     ]
-    runner.prefetch(up=[(config, workload) for config in configs])
-    results = [runner.try_run(config, workload) for config in configs]
-    missing = [
-        f"{workload.name}@{config.name}"
-        for config, result in zip(configs, results)
-        if result is None
-    ]
-    series: Dict[str, List[Optional[float]]] = {
-        "IPC": [r.ipc if r is not None else None for r in results]
-    }
-    errors = _ipc_error_series(results)
-    if errors is not None:
-        series["IPC ±95%"] = errors
-    return SweepResult(
-        title=f"Instruction-window sweep on {workload.name}",
-        axis="window",
-        points=list(sizes),
-        series=series,
-        missing=missing,
+    return _config_sweep(
+        "Instruction-window sweep",
+        "window",
+        sizes,
+        configs,
+        workload or workload_by_name("SPECint95"),
+        runner,
+        {"IPC": lambda r: r.ipc},
     )
 
 
@@ -172,11 +185,8 @@ def bht_size_sweep(
     entry_counts: Sequence[int] = (1024, 4096, 16384, 65536),
     workload: Optional[Workload] = None,
     runner: Optional[ExperimentRunner] = None,
-    jobs: int = 1,
 ) -> SweepResult:
     """Misprediction ratio versus BHT capacity (fills in Figure 10)."""
-    workload = workload or workload_by_name("TPC-C")
-    runner = runner or _default_runner(jobs)
     base = base_config()
     configs = [
         base.derived(
@@ -186,28 +196,17 @@ def bht_size_sweep(
         )
         for entries in entry_counts
     ]
-    runner.prefetch(up=[(config, workload) for config in configs])
-    results = [runner.try_run(config, workload) for config in configs]
-    missing = [
-        f"{workload.name}@{config.name}"
-        for config, result in zip(configs, results)
-        if result is None
-    ]
-    series: Dict[str, List[Optional[float]]] = {
-        "mispredict ratio": [
-            r.bht_misprediction_ratio if r is not None else None for r in results
-        ],
-        "IPC": [r.ipc if r is not None else None for r in results],
-    }
-    errors = _ipc_error_series(results)
-    if errors is not None:
-        series["IPC ±95%"] = errors
-    return SweepResult(
-        title=f"BHT capacity sweep on {workload.name}",
-        axis="entries",
-        points=list(entry_counts),
-        series=series,
-        missing=missing,
+    return _config_sweep(
+        "BHT capacity sweep",
+        "entries",
+        entry_counts,
+        configs,
+        workload or workload_by_name("TPC-C"),
+        runner,
+        {
+            "mispredict ratio": lambda r: r.bht_misprediction_ratio,
+            "IPC": lambda r: r.ipc,
+        },
     )
 
 
@@ -217,40 +216,23 @@ def smp_scaling_sweep(
     warm: int = 20_000,
     timed: int = 6_000,
     config: Optional[MachineConfig] = None,
-    jobs: int = 1,
 ) -> SweepResult:
     """System throughput and coherence traffic versus processor count."""
-    runner = runner or _default_runner(jobs)
+    runner = runner or ExperimentRunner()
     config = config or base_config()
-    points = [
-        (smp_workload(cpus, warm=warm, timed=timed), cpus) for cpus in cpu_counts
+    requests = [
+        (config, smp_workload(cpus, warm=warm, timed=timed), cpus)
+        for cpus in cpu_counts
     ]
-    runner.prefetch(smp=[(config, workload, cpus) for workload, cpus in points])
-    system_ipcs: List[Optional[float]] = []
-    per_cpu_ipcs: List[Optional[float]] = []
-    move_out_rates: List[Optional[float]] = []
-    missing: List[str] = []
-    for workload, cpus in points:
-        result = runner.try_run_smp(config, workload, cpus)
-        if result is None:
-            missing.append(f"{workload.name}x{cpus}P@{config.name}")
-            system_ipcs.append(None)
-            per_cpu_ipcs.append(None)
-            move_out_rates.append(None)
-            continue
-        system_ipcs.append(result.ipc)
-        per_cpu_ipcs.append(result.per_cpu_ipc)
-        move_out_rates.append(
-            result.coherence["cache_to_cache"] / max(result.total_instructions, 1)
-        )
-    return SweepResult(
-        title="TPC-C SMP scaling",
-        axis="CPUs",
-        points=list(cpu_counts),
-        series={
-            "system IPC": system_ipcs,
-            "per-CPU IPC": per_cpu_ipcs,
-            "move-outs/instr": move_out_rates,
-        },
-        missing=missing,
+    runner.prefetch(smp=requests)
+    results = [runner.try_run_smp(*request) for request in requests]
+    metrics: Dict[str, Callable[[SmpResult], float]] = {
+        "system IPC": lambda r: r.ipc,
+        "per-CPU IPC": lambda r: r.per_cpu_ipc,
+        "move-outs/instr": lambda r: (
+            r.coherence["cache_to_cache"] / max(r.total_instructions, 1)
+        ),
+    }
+    return _tabulate(
+        "TPC-C SMP scaling", "CPUs", cpu_counts, requests, results, metrics
     )

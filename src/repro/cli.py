@@ -298,6 +298,7 @@ def _cmd_figures(args: argparse.Namespace) -> None:
         fig14_15_l2,
         fig16_17_prefetch,
         fig18_reservation,
+        smp_workload,
         standard_workloads,
     )
 
@@ -317,9 +318,7 @@ def _cmd_figures(args: argparse.Namespace) -> None:
             runner,
             smp_cpus=args.smp_cpus,
             # SMP runs use shorter per-CPU traces to stay tractable.
-            smp_workload_override=__import__(
-                "repro.analysis.workloads", fromlist=["smp_workload"]
-            ).smp_workload(
+            smp_workload_override=smp_workload(
                 args.smp_cpus,
                 warm=min(args.warm, 20_000),
                 timed=min(args.timed, 6_000),

@@ -20,7 +20,7 @@ import time
 from typing import Optional
 
 from repro.common.errors import ConfigError
-from repro.core.pipeline import ProcessorCore, functional_warm
+from repro.core.pipeline import CoreStats, ProcessorCore, functional_warm
 from repro.frontend.bht import BranchHistoryTable
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.model.config import MachineConfig
@@ -141,6 +141,36 @@ def warm_up(
     return trace[split:] if split else trace
 
 
+def core_result(
+    config: MachineConfig,
+    trace: Trace,
+    core: ProcessorCore,
+    core_stats: CoreStats,
+    warmup_instructions: int,
+    sim_speed: float = 0.0,
+) -> SimResult:
+    """One core's :class:`SimResult`: its statistics plus the counters of
+    its memory hierarchy and BHT, shared by the uniprocessor model and
+    every CPU of an SMP run."""
+    hierarchy = core.hierarchy
+    return SimResult(
+        config_name=config.name,
+        trace_name=trace.name,
+        core=core_stats,
+        l1i=hierarchy.l1i.stats.as_dict(),
+        l1d=hierarchy.l1d.stats.as_dict(),
+        l2=hierarchy.l2.stats.as_dict(),
+        itlb_miss_ratio=hierarchy.itlb.stats.miss_ratio,
+        dtlb_miss_ratio=hierarchy.dtlb.stats.miss_ratio,
+        bht_misprediction_ratio=core.fetch.bht.stats.misprediction_ratio,
+        system_bus_utilization=hierarchy.system_bus.utilization(core_stats.cycles),
+        l1_l2_bus_utilization=hierarchy.l1_l2_bus.utilization(core_stats.cycles),
+        prefetches_issued=hierarchy.prefetcher.stats.issued,
+        sim_speed=sim_speed,
+        warmup_instructions=warmup_instructions,
+    )
+
+
 class PerformanceModel:
     """Configurable trace-driven uniprocessor simulator.
 
@@ -180,21 +210,13 @@ class PerformanceModel:
         core_stats = core.run()
         elapsed = max(time.perf_counter() - started, 1e-9)
 
-        return SimResult(
-            config_name=config.name,
-            trace_name=trace.name,
-            core=core_stats,
-            l1i=hierarchy.l1i.stats.as_dict(),
-            l1d=hierarchy.l1d.stats.as_dict(),
-            l2=hierarchy.l2.stats.as_dict(),
-            itlb_miss_ratio=hierarchy.itlb.stats.miss_ratio,
-            dtlb_miss_ratio=hierarchy.dtlb.stats.miss_ratio,
-            bht_misprediction_ratio=core.fetch.bht.stats.misprediction_ratio,
-            system_bus_utilization=hierarchy.system_bus.utilization(core_stats.cycles),
-            l1_l2_bus_utilization=hierarchy.l1_l2_bus.utilization(core_stats.cycles),
-            prefetches_issued=hierarchy.prefetcher.stats.issued,
-            sim_speed=core_stats.instructions / elapsed,
+        return core_result(
+            config,
+            trace,
+            core,
+            core_stats,
             warmup_instructions=len(trace) - len(timed_part),
+            sim_speed=core_stats.instructions / elapsed,
         )
 
     def run_sampled(

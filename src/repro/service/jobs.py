@@ -30,6 +30,7 @@ from dataclasses import fields, is_dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.analysis.cache import ResultCache
+from repro.analysis.runner import point_label, result_meta, simulate
 from repro.analysis.workloads import (
     DEFAULT_SEED,
     DEFAULT_TIMED,
@@ -152,13 +153,10 @@ def spec_workload(spec: dict) -> Workload:
 
 
 def spec_label(spec: dict) -> str:
-    """Human-readable run label (``workload@config`` /
-    ``workloadxNP@config``), the site label ``REPRO_FAULTS`` ``match=``
-    patterns see."""
-    workload, config = spec["workload"]["name"], spec["config"]["name"]
-    if spec.get("kind") == "smp":
-        return f"{workload}x{spec['cpus']}P@{config}"
-    return f"{workload}@{config}"
+    """The job's :func:`~repro.analysis.runner.point_label`."""
+    return point_label(
+        spec["workload"]["name"], spec["config"]["name"], spec.get("cpus")
+    )
 
 
 def spec_key(spec: dict, cache: ResultCache) -> str:
@@ -193,26 +191,14 @@ def _memoised_workload(workload: Workload) -> Workload:
 def execute_spec(spec: dict) -> Tuple[dict, dict]:
     """Run the simulation a spec describes; returns ``(payload, meta)``.
 
-    The payload/meta shapes match what the serial runner path stores,
-    so every cache entry renders the same in ``repro analyze`` however
-    it was produced.
+    The payload/meta shapes match what the runner's in-process path
+    stores, so every cache entry renders the same in ``repro analyze``
+    however it was produced.
     """
-    from repro.analysis.runner import _run_smp, _run_up
-
     kind = spec.get("kind", "up")
     if kind not in ("up", "smp"):
         raise ServiceError(f"job spec has unknown kind {kind!r}")
-    config = spec_config(spec)
+    cpus = int(spec["cpus"]) if kind == "smp" else None
     workload = _memoised_workload(spec_workload(spec))
-    if kind == "smp":
-        cpus = int(spec["cpus"])
-        result = _run_smp(config, workload, cpus)
-        meta = {
-            "config": result.config_name,
-            "workload": workload.name,
-            "cpus": cpus,
-        }
-    else:
-        result = _run_up(config, workload)
-        meta = {"config": result.config_name, "workload": workload.name}
-    return result.to_dict(), meta
+    result = simulate(spec_config(spec), workload, cpus)
+    return result.to_dict(), result_meta(result, workload, cpus)

@@ -20,7 +20,7 @@ from repro.frontend.bht import BranchHistoryTable
 from repro.memory.bus import Bus
 from repro.memory.dram import MemoryController
 from repro.model.config import MachineConfig
-from repro.model.simulator import build_hierarchy, warm_up
+from repro.model.simulator import build_hierarchy, core_result, warm_up
 from repro.model.stats import SimResult
 from repro.smp.coherence import CoherenceDomain
 from repro.trace.stream import Trace
@@ -127,8 +127,9 @@ class SmpSystem:
             self.system_bus, self.memory, line_bytes=config.l2.line_bytes
         )
 
-        self.hierarchies = []
         self.cores: List[ProcessorCore] = []
+        #: Per CPU, the trace prefix spent warming state untimed.
+        self.warmup_instructions: List[int] = []
         for cpu, trace in enumerate(traces):
             hierarchy = build_hierarchy(
                 config,
@@ -143,8 +144,8 @@ class SmpSystem:
             core = ProcessorCore(
                 timed, hierarchy, config.core, config.frontend, config.bht, bht=bht
             )
-            self.hierarchies.append(hierarchy)
             self.cores.append(core)
+            self.warmup_instructions.append(len(trace) - len(timed))
 
     def run(self, max_cycles: Optional[int] = None) -> SmpResult:
         """Step all processors in global cycle order until all finish."""
@@ -152,24 +153,14 @@ class SmpSystem:
         cycle = step_cores(self.cores, max_cycles)
         elapsed = max(time.perf_counter() - started, 1e-9)
 
-        per_cpu = []
-        total_instructions = 0
-        for core, hierarchy, trace in zip(self.cores, self.hierarchies, self.traces):
-            stats = core.finalize_stats(cycle)
-            total_instructions += stats.instructions
-            per_cpu.append(
-                SimResult(
-                    config_name=self.config.name,
-                    trace_name=trace.name,
-                    core=stats,
-                    l1i=hierarchy.l1i.stats.as_dict(),
-                    l1d=hierarchy.l1d.stats.as_dict(),
-                    l2=hierarchy.l2.stats.as_dict(),
-                    itlb_miss_ratio=hierarchy.itlb.stats.miss_ratio,
-                    dtlb_miss_ratio=hierarchy.dtlb.stats.miss_ratio,
-                    bht_misprediction_ratio=core.fetch.bht.stats.misprediction_ratio,
-                )
+        # Per-CPU ``sim_speed`` stays 0: the system speed is on SmpResult.
+        per_cpu = [
+            core_result(self.config, trace, core, core.finalize_stats(cycle), warmup)
+            for core, trace, warmup in zip(
+                self.cores, self.traces, self.warmup_instructions
             )
+        ]
+        total_instructions = sum(result.instructions for result in per_cpu)
 
         workload = self.traces[0].name.rsplit("-cpu", 1)[0]
         return SmpResult(

@@ -11,9 +11,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.policy import RunPolicy
 from repro.analysis.runner import ExperimentRunner, ParallelRunner
-from repro.analysis.workloads import standard_workloads, workload_by_name
+from repro.analysis.workloads import (
+    smp_workload,
+    standard_workloads,
+    workload_by_name,
+)
 from repro.common import faults
+from repro.common.errors import ExperimentError
 from repro.model.config import base_config
 
 #: Tiny windows so each simulation finishes in well under a second.
@@ -28,6 +34,15 @@ def _mini_workloads():
 def _stats(result):
     """Deterministic architectural statistics (no wall-clock fields)."""
     return result.as_dict(include_speed=False)
+
+
+def _smp_payload(result):
+    """A full SMP payload minus its host-time fields (``sim_speed``)."""
+    payload = result.to_dict()
+    payload.pop("sim_speed")
+    for cpu in payload["per_cpu"]:
+        cpu.pop("sim_speed")
+    return payload
 
 
 class TestDeterminism:
@@ -171,3 +186,50 @@ class TestObservability:
         assert runner.stats.misses == 1
         runner.prefetch(up=[(config, workload)])
         assert runner.stats.misses == 1
+
+
+class TestSmpPoints:
+    """SMP points take the same prefetch, store and skip path."""
+
+    CPUS = 2
+
+    def _point(self):
+        return base_config(), smp_workload(self.CPUS, warm=WARM, timed=TIMED), self.CPUS
+
+    def test_prefetch_matches_serial_and_reloads_from_disk(self, tmp_path):
+        point = self._point()
+        expected = _smp_payload(ExperimentRunner().run_smp(*point))
+
+        runner = ParallelRunner(jobs=2, cache_dir=str(tmp_path))
+        runner.prefetch(smp=[point])
+        assert runner.stats.runs_in_workers == 1
+        assert _smp_payload(runner.run_smp(*point)) == expected
+        runner.close()
+
+        second = ParallelRunner(jobs=2, cache_dir=str(tmp_path))
+        assert _smp_payload(second.run_smp(*point)) == expected
+        assert second.stats.disk_hits == 1
+        assert second.stats.misses == 0
+        assert second.cached_results() == {}  # uniprocessor results only
+        second.close()
+
+    def test_skip_policy_abandons_the_point(self, tmp_path):
+        point = self._point()
+        faults.install_spec(f"worker-raise,times=5,match=x{self.CPUS}P")
+        try:
+            runner = ParallelRunner(
+                jobs=2,
+                cache_dir=str(tmp_path),
+                policy=RunPolicy(
+                    retries=0, on_failure="skip", backoff_base=0.01, backoff_max=0.05
+                ),
+            )
+            runner.prefetch(smp=[point])
+        finally:
+            faults.install_spec(None)
+            faults.reset()
+        assert runner.stats.skipped == [f"TPC-C (2P)x{self.CPUS}P@{point[0].name}"]
+        assert runner.try_run_smp(*point) is None
+        with pytest.raises(ExperimentError, match="abandoned"):
+            runner.run_smp(*point)
+        runner.close()
