@@ -19,13 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.common.errors import SimulationError
-from repro.core.pipeline import CoreStats
-from repro.memory.cache import CacheStats
 from repro.observe.categories import CPI_CATEGORIES
-from repro.observe.cpistack import merge as merge_stacks
 
 #: Two-sided 95 % Student-t quantiles (P[|T| <= t] = 0.95) for df = 1..30.
 _T_975 = (
@@ -110,63 +107,13 @@ class Estimate:
         )
 
 
-# ----------------------------------------------------------------------
-# Per-window measurement aggregation.
-#
-# A "measurement" is the flat counter dict produced by
-# :meth:`repro.core.pipeline.ProcessorCore.run_measured` for one window.
-# ----------------------------------------------------------------------
-
-_CORE_INT_FIELDS = (
-    "cycles",
-    "instructions",
-    "loads",
-    "stores",
-    "branches",
-    "replays",
-    "dispatches",
-    "bank_conflicts",
-    "store_forwards",
-    "order_stalls",
-    "fetch_icache_stall_cycles",
-    "fetch_taken_bubble_cycles",
-    "branch_mispredictions",
-    "conditional_branches",
-)
-
-
-def sum_counts(dicts: Sequence[Dict[str, int]]) -> Dict[str, int]:
-    out: Dict[str, int] = {}
-    for counts in dicts:
-        for key, value in counts.items():
-            out[key] = out.get(key, 0) + value
-    return out
-
-
-def merge_core_stats(measurements: Sequence[Dict]) -> CoreStats:
-    """Sum per-window measurements into one :class:`CoreStats`.
-
-    The merged CPI stack conserves cycles because each window's does.
-    """
-    core = CoreStats()
-    for name in _CORE_INT_FIELDS:
-        setattr(core, name, sum(m[name] for m in measurements))
-    core.cpi_stack = merge_stacks([m["cpi_stack"] for m in measurements])
-    core.decode_stalls = sum_counts([m["decode_stalls"] for m in measurements])
-    core.load_level_counts = sum_counts([m["load_level_counts"] for m in measurements])
-    return core
-
-
-def merge_cache_counts(counts: Sequence[Dict[str, int]]) -> Dict[str, float]:
-    """Sum raw per-window cache counters; ratios recomputed over totals."""
-    return CacheStats(**sum_counts(counts)).as_dict()
-
-
 def compute_estimates(measurements: Sequence[Dict]) -> Dict[str, Estimate]:
     """Point estimates with 95 % CIs for CPI, IPC and every stack category.
 
-    Keys: ``"cpi"``, ``"ipc"``, and ``"cpi.<category>"`` for every
-    CPI-stack category observed in any window.
+    ``measurements`` are the per-window counter dicts of
+    :meth:`repro.core.pipeline.ProcessorCore.run_measured`.  Keys:
+    ``"cpi"``, ``"ipc"``, and ``"cpi.<category>"`` for every CPI-stack
+    category observed in any window.
     """
     if not measurements:
         raise SimulationError("cannot estimate from zero sample windows")
@@ -189,8 +136,3 @@ def compute_estimates(measurements: Sequence[Dict]) -> Dict[str, Estimate]:
         ]
         out[f"cpi.{category}"] = Estimate.from_samples(values)
     return out
-
-
-def window_ipcs(measurements: Sequence[Dict]) -> List[float]:
-    """Per-window IPCs (diagnostic view of the sample distribution)."""
-    return [m["instructions"] / m["cycles"] for m in measurements if m["cycles"]]

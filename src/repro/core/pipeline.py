@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.common.errors import SimulationError
 from repro.core.lsq import LoadResolution, LoadStoreUnit
@@ -56,6 +56,7 @@ from repro.frontend.fetch import FetchedInstruction, FetchUnit, FrontEndParams
 from repro.isa.opcodes import OpClass, uses_rsa, uses_rsbr, uses_rse, uses_rsf
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.observe import categories as cat
+from repro.observe.cpistack import merge as merge_stacks
 from repro.observe.cpistack import new_stack, prune, verify_conservation
 from repro.trace.stream import Trace
 
@@ -167,6 +168,27 @@ def _diff_snapshots(start: Dict[str, object], end: Dict[str, object]) -> Dict[st
     return out
 
 
+def sum_snapshots(snapshots: Sequence[Dict[str, object]]) -> Dict[str, object]:
+    """Counter-wise sum of snapshot-shaped dicts (e.g. sampled windows).
+
+    The summed CPI stack conserves the summed cycles when each input's
+    does.
+    """
+    out: Dict[str, object] = {}
+    for key, first in snapshots[0].items():
+        if key == "cpi_stack":
+            out[key] = merge_stacks([snap[key] for snap in snapshots])
+        elif isinstance(first, dict):
+            total: Dict[str, int] = {}
+            for snap in snapshots:
+                for k, value in snap[key].items():
+                    total[k] = total.get(k, 0) + value
+            out[key] = total
+        else:
+            out[key] = sum(snap[key] for snap in snapshots)
+    return out
+
+
 @dataclass
 class CoreStats:
     """Raw counters produced by one core run."""
@@ -204,6 +226,11 @@ class CoreStats:
             return 0.0
         return self.branch_mispredictions / self.conditional_branches
 
+    @classmethod
+    def from_counts(cls, counts: Dict[str, object]) -> "CoreStats":
+        """The core counters of a :meth:`ProcessorCore.snapshot`-shaped dict."""
+        return cls(**{stat.name: counts[stat.name] for stat in fields(cls)})
+
 
 class ProcessorCore:
     """One SPARC64 V core executing one trace."""
@@ -237,6 +264,9 @@ class ProcessorCore:
         self._station_wake: Optional[int] = None
         self._trace_length = len(trace)
         self._committed = 0
+        #: Live decode/dispatch counters (:meth:`snapshot` reads the rest
+        #: from the units that own them) until :meth:`finalize_stats`
+        #: replaces it with the final counters.
         self.stats = CoreStats()
         self._decode_stalls = {kind: 0 for kind in cat.DECODE_STALL_KINDS}
         self._load_levels: Dict[str, int] = {}
@@ -355,15 +385,15 @@ class ProcessorCore:
         """
         if not 0 <= measure_start < measure_end:
             raise SimulationError("need 0 <= measure_start < measure_end")
-        start_snap = self._snapshot() if measure_start == 0 else None
+        start_snap = self.snapshot() if measure_start == 0 else None
         end_snap = None
 
         def crossed_end() -> bool:
             nonlocal start_snap, end_snap
             if start_snap is None and self._committed >= measure_start:
-                start_snap = self._snapshot()
+                start_snap = self.snapshot()
             if self._committed >= measure_end:
-                end_snap = self._snapshot()
+                end_snap = self.snapshot()
                 return True
             return False
 
@@ -375,7 +405,7 @@ class ProcessorCore:
             )
         if end_snap is None:
             # Trace shorter than requested: measure through the last commit.
-            end_snap = self._snapshot()
+            end_snap = self.snapshot()
         measured = _diff_snapshots(start_snap, end_snap)
         verify_conservation(
             measured["cpi_stack"],
@@ -384,8 +414,12 @@ class ProcessorCore:
         )
         return measured
 
-    def _snapshot(self) -> Dict[str, object]:
+    def snapshot(self) -> Dict[str, object]:
         """Copy every measured counter at the current accounting point.
+
+        The one way counters leave a core: full, sampled and SMP results
+        are all built from snapshots by
+        :meth:`~repro.model.stats.SimResult.from_counts`.
 
         ``step_cycle`` attributes each cycle before returning, so after
         any step the stack total equals ``_accounted_until`` exactly and
@@ -396,7 +430,7 @@ class ProcessorCore:
         return {
             "cycles": self._accounted_until,
             "instructions": self._committed,
-            "cpi_stack": dict(self._stack),
+            "cpi_stack": prune(self._stack),
             "loads": self.stats.loads,
             "stores": self.stats.stores,
             "branches": self.stats.branches,
@@ -428,10 +462,11 @@ class ProcessorCore:
         }
 
     def finalize_stats(self, cycles: int) -> CoreStats:
-        """Populate the statistics object after the last commit.
+        """Close the CPI-stack books after the last commit.
 
-        Also closes the CPI-stack books and enforces conservation: the
-        attributed cycles must equal ``cycles`` exactly.
+        Enforces conservation (the attributed cycles must equal
+        ``cycles`` exactly) and returns the final counters, also left in
+        ``self.stats``; a later :meth:`snapshot` reads the same books.
         """
         if cycles > self._accounted_until:
             # Tail the driver never stepped (an SMP core idling after its
@@ -442,10 +477,7 @@ class ProcessorCore:
         verify_conservation(
             self._stack, cycles, where=f"trace {self._trace_name!r}"
         )
-        snapshot = self._snapshot()
-        snapshot["cpi_stack"] = prune(snapshot["cpi_stack"])
-        for stat in fields(CoreStats):
-            setattr(self.stats, stat.name, snapshot[stat.name])
+        self.stats = CoreStats.from_counts(self.snapshot())
         return self.stats
 
     def _next_cycle(self, cycle: int) -> int:

@@ -68,37 +68,36 @@ class BhtStats:
 
 
 class _Entry:
-    __slots__ = ("tag", "counter", "valid", "lru")
+    __slots__ = ("tag", "counter", "lru")
 
-    def __init__(self) -> None:
-        self.tag = -1
-        self.counter = 0
-        self.valid = False
-        self.lru = 0
+    def __init__(self, tag: int, counter: int, lru: int) -> None:
+        self.tag = tag
+        self.counter = counter
+        self.lru = lru
 
 
 class BranchHistoryTable:
-    """Tagged, set-associative, 2-bit-counter direction predictor."""
+    """Tagged, set-associative, 2-bit-counter direction predictor.
+
+    Each set holds only its allocated entries, growing to ``ways``; a
+    full set evicts its least recently used entry.
+    """
 
     def __init__(self, params: BhtParams) -> None:
         self.params = params
         sets = params.entries // params.ways
-        self._sets: List[List[_Entry]] = [
-            [_Entry() for _ in range(params.ways)] for _ in range(sets)
-        ]
+        self._sets: List[List[_Entry]] = [[] for _ in range(sets)]
         self._set_mask = sets - 1
         self._clock = 0
         self.stats = BhtStats()
 
     def _find(self, pc: int):
         word = pc >> 2
-        index = word & self._set_mask
-        tag = word >> 0
-        bucket = self._sets[index]
+        bucket = self._sets[word & self._set_mask]
         for entry in bucket:
-            if entry.valid and entry.tag == tag:
-                return bucket, entry, tag
-        return bucket, None, tag
+            if entry.tag == word:
+                return bucket, entry, word
+        return bucket, None, word
 
     def predict(self, pc: int) -> bool:
         """Predict the direction of the conditional branch at ``pc``.
@@ -131,17 +130,9 @@ class BranchHistoryTable:
             if not taken:
                 return  # not-taken branches are not allocated
             self.stats.taken_misses += 1
-            victim = None
-            for candidate in bucket:
-                if not candidate.valid:
-                    victim = candidate
-                    break
-            if victim is None:
-                victim = min(bucket, key=lambda candidate: candidate.lru)
-            victim.valid = True
-            victim.tag = tag
-            victim.counter = 2  # weakly taken on allocation
-            victim.lru = self._clock
+            if len(bucket) == self.params.ways:
+                bucket.remove(min(bucket, key=lambda candidate: candidate.lru))
+            bucket.append(_Entry(tag, 2, self._clock))  # weakly taken
             return
         entry.lru = self._clock
         if taken:

@@ -20,7 +20,7 @@ import time
 from typing import Optional
 
 from repro.common.errors import ConfigError
-from repro.core.pipeline import CoreStats, ProcessorCore, functional_warm
+from repro.core.pipeline import ProcessorCore, functional_warm, sum_snapshots
 from repro.frontend.bht import BranchHistoryTable
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.model.config import MachineConfig
@@ -141,36 +141,6 @@ def warm_up(
     return trace[split:] if split else trace
 
 
-def core_result(
-    config: MachineConfig,
-    trace: Trace,
-    core: ProcessorCore,
-    core_stats: CoreStats,
-    warmup_instructions: int,
-    sim_speed: float = 0.0,
-) -> SimResult:
-    """One core's :class:`SimResult`: its statistics plus the counters of
-    its memory hierarchy and BHT, shared by the uniprocessor model and
-    every CPU of an SMP run."""
-    hierarchy = core.hierarchy
-    return SimResult(
-        config_name=config.name,
-        trace_name=trace.name,
-        core=core_stats,
-        l1i=hierarchy.l1i.stats.as_dict(),
-        l1d=hierarchy.l1d.stats.as_dict(),
-        l2=hierarchy.l2.stats.as_dict(),
-        itlb_miss_ratio=hierarchy.itlb.stats.miss_ratio,
-        dtlb_miss_ratio=hierarchy.dtlb.stats.miss_ratio,
-        bht_misprediction_ratio=core.fetch.bht.stats.misprediction_ratio,
-        system_bus_utilization=hierarchy.system_bus.utilization(core_stats.cycles),
-        l1_l2_bus_utilization=hierarchy.l1_l2_bus.utilization(core_stats.cycles),
-        prefetches_issued=hierarchy.prefetcher.stats.issued,
-        sim_speed=sim_speed,
-        warmup_instructions=warmup_instructions,
-    )
-
-
 class PerformanceModel:
     """Configurable trace-driven uniprocessor simulator.
 
@@ -207,16 +177,16 @@ class PerformanceModel:
             core.attach_tracer(tracer)
 
         started = time.perf_counter()
-        core_stats = core.run()
+        core.run()
         elapsed = max(time.perf_counter() - started, 1e-9)
 
-        return core_result(
-            config,
-            trace,
-            core,
-            core_stats,
+        counts = core.snapshot()
+        return SimResult.from_counts(
+            config.name,
+            trace.name,
+            counts,
             warmup_instructions=len(trace) - len(timed_part),
-            sim_speed=core_stats.instructions / elapsed,
+            sim_speed=counts["instructions"] / elapsed,
         )
 
     def run_sampled(
@@ -292,28 +262,11 @@ class PerformanceModel:
             cursor = window.end
         elapsed = max(time.perf_counter() - started, 1e-9)
 
-        core_stats = estimate.merge_core_stats(measurements)
-        estimates = estimate.compute_estimates(measurements)
-        itlb = estimate.sum_counts([m["itlb"] for m in measurements])
-        dtlb = estimate.sum_counts([m["dtlb"] for m in measurements])
-        cycles = max(core_stats.cycles, 1)
-        return SampledSimResult(
-            config_name=config.name,
-            trace_name=trace.name,
-            core=core_stats,
-            l1i=estimate.merge_cache_counts([m["l1i"] for m in measurements]),
-            l1d=estimate.merge_cache_counts([m["l1d"] for m in measurements]),
-            l2=estimate.merge_cache_counts([m["l2"] for m in measurements]),
-            itlb_miss_ratio=itlb["misses"] / max(itlb["accesses"], 1),
-            dtlb_miss_ratio=dtlb["misses"] / max(dtlb["accesses"], 1),
-            bht_misprediction_ratio=core_stats.misprediction_ratio,
-            system_bus_utilization=min(
-                1.0, sum(m["system_bus_busy"] for m in measurements) / cycles
-            ),
-            l1_l2_bus_utilization=min(
-                1.0, sum(m["l1_l2_bus_busy"] for m in measurements) / cycles
-            ),
-            prefetches_issued=sum(m["prefetches_issued"] for m in measurements),
+        totals = sum_snapshots(measurements)
+        return SampledSimResult.from_counts(
+            config.name,
+            trace.name,
+            totals,
             # Effective speed: the whole trace covered per host second.
             sim_speed=len(trace) / elapsed,
             warmup_instructions=warmed,
@@ -325,11 +278,14 @@ class PerformanceModel:
                 "drain_pad": plan.drain_pad,
                 "windows": len(windows),
                 "trace_instructions": len(trace),
-                "measured_instructions": core_stats.instructions,
+                "measured_instructions": totals["instructions"],
                 "warmed_instructions": warmed,
                 "detailed_instructions": detailed,
             },
-            estimates={name: est.to_dict() for name, est in estimates.items()},
+            estimates={
+                name: est.to_dict()
+                for name, est in estimate.compute_estimates(measurements).items()
+            },
             window_instructions=[m["instructions"] for m in measurements],
             window_cycles=[m["cycles"] for m in measurements],
             window_stacks=[m["cpi_stack"] for m in measurements],

@@ -6,6 +6,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.pipeline import CoreStats
+from repro.memory.cache import CacheStats
 
 
 @dataclass
@@ -27,6 +28,39 @@ class SimResult:
     #: Wall-clock simulation speed, trace instructions per host second.
     sim_speed: float = 0.0
     warmup_instructions: int = 0
+
+    @classmethod
+    def from_counts(
+        cls, config_name: str, trace_name: str, counts: Dict[str, object], **extra
+    ) -> "SimResult":
+        """The result of a :meth:`ProcessorCore.snapshot`-shaped dict.
+
+        The one builder every result goes through: a full run passes its
+        final snapshot, an SMP run each CPU's, a sampled run the sum of
+        its windows' measured differences.  ``extra`` sets the remaining
+        fields (``sim_speed``, ``warmup_instructions``, sampling data).
+        """
+        core = CoreStats.from_counts(counts)
+        cycles = core.cycles
+
+        def ratio(part: int, whole: int) -> float:
+            return part / whole if whole > 0 else 0.0
+
+        return cls(
+            config_name=config_name,
+            trace_name=trace_name,
+            core=core,
+            l1i=CacheStats(**counts["l1i"]).as_dict(),
+            l1d=CacheStats(**counts["l1d"]).as_dict(),
+            l2=CacheStats(**counts["l2"]).as_dict(),
+            itlb_miss_ratio=ratio(counts["itlb"]["misses"], counts["itlb"]["accesses"]),
+            dtlb_miss_ratio=ratio(counts["dtlb"]["misses"], counts["dtlb"]["accesses"]),
+            bht_misprediction_ratio=core.misprediction_ratio,
+            system_bus_utilization=min(1.0, ratio(counts["system_bus_busy"], cycles)),
+            l1_l2_bus_utilization=min(1.0, ratio(counts["l1_l2_bus_busy"], cycles)),
+            prefetches_issued=counts["prefetches_issued"],
+            **extra,
+        )
 
     @property
     def ipc(self) -> float:

@@ -20,7 +20,7 @@ from repro.frontend.bht import BranchHistoryTable
 from repro.memory.bus import Bus
 from repro.memory.dram import MemoryController
 from repro.model.config import MachineConfig
-from repro.model.simulator import build_hierarchy, core_result, warm_up
+from repro.model.simulator import build_hierarchy, warm_up
 from repro.model.stats import SimResult
 from repro.smp.coherence import CoherenceDomain
 from repro.trace.stream import Trace
@@ -28,7 +28,14 @@ from repro.trace.stream import Trace
 
 @dataclass
 class SmpResult:
-    """Results of one multiprocessor run."""
+    """Results of one multiprocessor run.
+
+    ``per_cpu`` holds each CPU's own counters, except
+    ``system_bus_utilization``: the system bus is shared, so every
+    per-CPU result repeats the shared bus's figure (equal to this
+    object's ``system_bus_utilization``).  It must not be summed across
+    CPUs.
+    """
 
     config_name: str
     workload_name: str
@@ -154,12 +161,15 @@ class SmpSystem:
         elapsed = max(time.perf_counter() - started, 1e-9)
 
         # Per-CPU ``sim_speed`` stays 0: the system speed is on SmpResult.
-        per_cpu = [
-            core_result(self.config, trace, core, core.finalize_stats(cycle), warmup)
-            for core, trace, warmup in zip(
-                self.cores, self.traces, self.warmup_instructions
+        per_cpu = []
+        for core, trace, warmup in zip(self.cores, self.traces, self.warmup_instructions):
+            core.finalize_stats(cycle)
+            per_cpu.append(
+                SimResult.from_counts(
+                    self.config.name, trace.name, core.snapshot(),
+                    warmup_instructions=warmup,
+                )
             )
-        ]
         total_instructions = sum(result.instructions for result in per_cpu)
 
         workload = self.traces[0].name.rsplit("-cpu", 1)[0]

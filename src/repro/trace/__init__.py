@@ -12,7 +12,7 @@ footprints, branch predictability, and memory-access patterns.
 from repro.trace.record import TraceRecord, NO_REG, NO_ADDR
 from repro.trace.stream import Trace, TraceStats
 from repro.trace.io import read_trace, write_trace
-from repro.trace.sampling import SampleWindow, SamplingPlan, sample_trace
+from repro.trace.sampling import SampleWindow, SamplingPlan
 
 __all__ = [
     "TraceRecord",
@@ -22,7 +22,6 @@ __all__ = [
     "TraceStats",
     "read_trace",
     "write_trace",
-    "sample_trace",
     "SampleWindow",
     "SamplingPlan",
 ]

@@ -11,20 +11,14 @@ measure ``sample_length`` instructions in detail; everything between
 windows is fast-forwarded.  The simulation half lives in
 :meth:`repro.model.simulator.PerformanceModel.run_sampled`, and the
 statistics in :mod:`repro.analysis.estimate`.
-
-:func:`sample_trace` remains the simple API: carve measurement windows
-out of a trace.  It is lazy — windows are materialised one at a time, so
-sampling a very long trace never holds more than one window's records
-beyond the parent trace itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator
 
 from repro.common.errors import TraceError
-from repro.trace.stream import Trace
 
 
 @dataclass(frozen=True)
@@ -136,49 +130,3 @@ class SamplingPlan:
             )
             start += self.period
             index += 1
-
-
-def sample_trace(trace: Trace, period: int, sample_length: int) -> Iterator[Trace]:
-    """Systematically sample contiguous windows from ``trace``.
-
-    Yields one :class:`Trace` per window, lazily — each window is
-    materialised only when the iterator is advanced, so streaming a
-    billion-record trace holds one window at a time.  Each window is
-    internally control-flow consistent because records are kept
-    contiguous; windows are intended to be simulated independently (with
-    warm-up) and their statistics aggregated, exactly how sampled TPC-C
-    traces are used.  Parameters are validated eagerly.
-    """
-    if period <= 0 or sample_length <= 0:
-        raise TraceError("period and sample_length must be positive")
-    if sample_length > period:
-        raise TraceError("sample_length cannot exceed period")
-
-    def _windows() -> Iterator[Trace]:
-        start = 0
-        index = 0
-        while start + sample_length <= len(trace):
-            yield Trace(
-                trace.records[start : start + sample_length],
-                name=f"{trace.name}#w{index}",
-                cpu=trace.cpu,
-            )
-            start += period
-            index += 1
-
-    return _windows()
-
-
-def merge_window_ipc(instruction_counts: List[int], cycle_counts: List[int]) -> float:
-    """Aggregate per-window results into a single IPC.
-
-    Total instructions over total cycles — the correct way to combine
-    systematic samples (an unweighted mean of per-window IPCs would bias
-    toward short-cycle windows).
-    """
-    if len(instruction_counts) != len(cycle_counts) or not instruction_counts:
-        raise TraceError("instruction/cycle count lists must be equal-length and non-empty")
-    total_cycles = sum(cycle_counts)
-    if total_cycles <= 0:
-        raise TraceError("total cycles must be positive")
-    return sum(instruction_counts) / total_cycles

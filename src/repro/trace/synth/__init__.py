@@ -30,7 +30,7 @@ from repro.trace.synth.profiles import (
     standard_profiles,
 )
 from repro.trace.synth.generator import TraceGenerator, generate_trace
-from repro.trace.synth.smp import build_smp_generators, generate_smp_traces
+from repro.trace.synth.smp import build_smp_generators
 
 __all__ = [
     "WorkloadProfile",
@@ -44,5 +44,4 @@ __all__ = [
     "TraceGenerator",
     "generate_trace",
     "build_smp_generators",
-    "generate_smp_traces",
 ]

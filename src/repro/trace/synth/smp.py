@@ -1,7 +1,9 @@
 """SMP trace generation.
 
-Produces one trace per processor for a multiprocessor run, the way the
-paper's TPC-C (16P) experiments are driven.  Every CPU runs the same
+Builds one trace generator per processor for a multiprocessor run, the
+way the paper's TPC-C (16P) experiments are driven
+(:meth:`repro.analysis.workloads.Workload.smp_traces` draws the per-CPU
+traces from them).  Every CPU runs the same
 *kind* of work (transaction processing) but a distinct dynamic stream:
 
 - each CPU gets its own seed fork, so code walks diverge;
@@ -15,11 +17,10 @@ paper's TPC-C (16P) experiments are driven.  Every CPU runs the same
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.common.errors import ConfigError
 from repro.common.rng import DeterministicRng
-from repro.trace.stream import Trace
 from repro.trace.synth.data import SHARED_DATA_BASE, SharedRegionGenerator
 from repro.trace.synth.generator import TraceGenerator
 from repro.trace.synth.profiles import WorkloadProfile
@@ -49,25 +50,3 @@ def build_smp_generators(
             TraceGenerator(profile, seed=seed, cpu=cpu, shared_generator=shared)
         )
     return generators
-
-
-def generate_smp_traces(
-    profile: WorkloadProfile,
-    cpu_count: int,
-    instruction_count: int,
-    seed: int = 1,
-    name: Optional[str] = None,
-) -> List[Trace]:
-    """Generate ``cpu_count`` coherent per-CPU traces.
-
-    ``instruction_count`` is per CPU.  The shared region is identical
-    across CPUs (same base address and skew), so the coherence model in
-    :mod:`repro.smp` sees genuine sharing.
-    """
-    base_name = name or profile.name
-    return [
-        generator.generate(
-            instruction_count, name=f"{base_name}-{cpu_count}P-cpu{generator.cpu}"
-        )
-        for generator in build_smp_generators(profile, cpu_count, seed)
-    ]

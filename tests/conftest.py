@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.pipeline import ProcessorCore
 from repro.frontend.bht import BhtParams
 from repro.frontend.fetch import FrontEndParams
 from repro.memory.params import (
@@ -12,6 +13,7 @@ from repro.memory.params import (
     TlbGeometry,
 )
 from repro.model.config import MachineConfig, base_config
+from repro.model.simulator import build_hierarchy
 from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
 from repro.isa.opcodes import OpClass
@@ -21,6 +23,19 @@ from repro.isa.opcodes import OpClass
 def table1_config() -> MachineConfig:
     """The production Table 1 configuration."""
     return base_config()
+
+
+@pytest.fixture
+def zero_snapshot(table1_config) -> dict:
+    """A fresh core's :meth:`ProcessorCore.snapshot`: every counter zero."""
+    core = ProcessorCore(
+        Trace([TraceRecord(0x1000, OpClass.INT_ALU, dest=8)]),
+        build_hierarchy(table1_config),
+        table1_config.core,
+        table1_config.frontend,
+        table1_config.bht,
+    )
+    return core.snapshot()
 
 
 @pytest.fixture

@@ -2,8 +2,12 @@
 
 ``tests/golden/base_config.json`` pins the exact statistics of tiny
 (5k-instruction) base-configuration runs of every standard workload,
-plus one 2-processor TPC-C run.  The simulator is deterministic, so any
-difference from the golden file means the model's numbers drifted —
+one 2-processor TPC-C run and one sampled SPECint95 run.  Each entry
+holds the rounded ``as_dict()`` summary (readable diffs) and a
+``payload_sha256`` of the full ``to_dict()`` payload (every counter,
+per-CPU and per-window field included).  The simulator is
+deterministic, so any difference from the golden file means the
+model's numbers drifted —
 deliberately (re-bless with ``REPRO_UPDATE_GOLDEN=1 pytest
 tests/test_golden_results.py``) or by accident (this test fails with a
 field-by-field diff).
@@ -11,6 +15,7 @@ field-by-field diff).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -18,8 +23,9 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.runner import ExperimentRunner
-from repro.analysis.workloads import smp_workload, standard_workloads
+from repro.analysis.workloads import smp_workload, standard_workloads, workload_by_name
 from repro.model.config import base_config
+from repro.trace.sampling import SamplingPlan
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "base_config.json"
 
@@ -29,21 +35,42 @@ TIMED = 1_000
 SMP_CPUS = 2
 SMP_WARM = 2_000
 SMP_TIMED = 600
+#: Sampled SPECint95: four windows over a 20k-instruction trace.
+SAMPLED_TIMED = 20_000
+SAMPLED_PLAN = SamplingPlan(period=5_000, sample_length=300, warmup=400)
 
 UPDATE = bool(os.environ.get("REPRO_UPDATE_GOLDEN"))
+
+
+def payload_sha256(result) -> str:
+    """sha256 of ``result.to_dict()`` minus the wall-clock ``sim_speed``
+    (per-CPU entries included), as sorted-key JSON."""
+    payload = result.to_dict()
+    payload.pop("sim_speed")
+    for cpu in payload.get("per_cpu", ()):
+        cpu.pop("sim_speed")
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def pinned(result, summary: dict) -> dict:
+    """One golden entry: the rounded summary plus the full-payload hash."""
+    return {**summary, "payload_sha256": payload_sha256(result)}
 
 
 def compute_current() -> dict:
     """Regenerate every pinned statistic from the current model."""
     runner = ExperimentRunner()
     config = base_config()
-    workloads = {
-        w.name: runner.run(config, w).as_dict(include_speed=False)
-        for w in standard_workloads(warm=WARM, timed=TIMED)
-    }
-    smp = runner.run_smp(
+    workloads = {}
+    for workload in standard_workloads(warm=WARM, timed=TIMED):
+        result = runner.run(config, workload)
+        workloads[workload.name] = pinned(result, result.as_dict(include_speed=False))
+    smp_result = runner.run_smp(
         config, smp_workload(SMP_CPUS, warm=SMP_WARM, timed=SMP_TIMED), SMP_CPUS
-    ).as_dict()
+    )
+    sampled_workload = workload_by_name("SPECint95", warm=0, timed=SAMPLED_TIMED)
+    sampled_workload.sampling = SAMPLED_PLAN
+    sampled_result = runner.run(config, sampled_workload)
     return {
         "_meta": {
             "config": config.name,
@@ -52,7 +79,14 @@ def compute_current() -> dict:
             "smp": {"cpus": SMP_CPUS, "warm": SMP_WARM, "timed": SMP_TIMED},
         },
         "workloads": workloads,
-        "smp": smp,
+        "smp": pinned(smp_result, smp_result.as_dict()),
+        "sampled": {
+            # Not in "_meta", which must equal the CPI-stack golden's.
+            "_meta": {"timed": SAMPLED_TIMED, "plan": SAMPLED_PLAN.key()},
+            "SPECint95": pinned(
+                sampled_result, sampled_result.as_dict(include_speed=False)
+            ),
+        },
     }
 
 
@@ -102,6 +136,7 @@ def test_base_config_matches_golden(current):
     differences += diff_tables(
         {"smp": golden["smp"]}, {"smp": current["smp"]}
     )
+    differences += diff_tables(golden["sampled"], current["sampled"])
     assert not differences, (
         "model statistics drifted from tests/golden/base_config.json:\n  "
         + "\n  ".join(differences)

@@ -3,7 +3,6 @@
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.common.events import EventQueue
 from repro.common.rng import DeterministicRng
 from repro.memory.bus import Bus
 from repro.memory.cache import LineState, SetAssociativeCache
@@ -145,6 +144,53 @@ def test_bht_constant_branch_converges(pc_seed):
     assert table.predict(pc) is True
 
 
+def _valid_flag_bht(params, branches):
+    """Oracle: (predictions, [branches, mispredictions, taken_misses]) of
+    a table that pre-allocates ``ways`` entries per set with valid flags
+    and fills the first invalid way before evicting the LRU one."""
+    sets = [[[False, -1, 0, 0] for _ in range(params.ways)]
+            for _ in range(params.entries // params.ways)]
+    clock, stats, predictions = 0, [0, 0, 0], []
+    for pc, taken in branches:
+        bucket = sets[(pc >> 2) % len(sets)]
+        entry = next((e for e in bucket if e[0] and e[1] == pc >> 2), None)
+        predicted = entry is not None and entry[2] >= 2
+        predictions.append(predicted)
+        clock += 1
+        stats[0] += 1
+        stats[1] += taken != predicted
+        if entry is not None:
+            entry[2] = min(3, entry[2] + 1) if taken else max(0, entry[2] - 1)
+            entry[3] = clock
+        elif taken:
+            stats[2] += 1
+            free = [e for e in bucket if not e[0]]
+            victim = free[0] if free else min(bucket, key=lambda e: e[3])
+            victim[:] = [True, pc >> 2, 2, clock]
+    return predictions, stats
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 63), st.booleans()), min_size=1, max_size=300),
+    st.sampled_from([(16, 1), (16, 2), (32, 4), (8, 8)]),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_bht_matches_valid_flag_oracle(branches, geometry):
+    """Sets that grow to ``ways`` predict and count exactly like the
+    pre-allocated valid-flag table."""
+    entries, ways = geometry
+    params = BhtParams("t", entries=entries, ways=ways, access_latency=1)
+    branches = [(0x1000 + 4 * slot, taken) for slot, taken in branches]
+    table = BranchHistoryTable(params)
+    predictions = []
+    for pc, taken in branches:
+        predictions.append(table.predict(pc))
+        table.update(pc, taken, predictions[-1])
+    stats = table.stats
+    assert (predictions, [stats.conditional_branches, stats.mispredictions,
+                          stats.taken_misses]) == _valid_flag_bht(params, branches)
+
+
 # ---------------------------------------------------------------------------
 # Trace I/O round trip.
 # ---------------------------------------------------------------------------
@@ -170,25 +216,6 @@ def test_trace_io_roundtrip(tmp_path_factory, records):
         path = directory / f"t{suffix}"
         write_trace(trace, path)
         assert read_trace(path).records == trace.records
-
-
-# ---------------------------------------------------------------------------
-# Event queue ordering.
-# ---------------------------------------------------------------------------
-
-
-@given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=200))
-@settings(max_examples=50, deadline=None)
-def test_event_queue_pops_in_cycle_order(cycles):
-    queue = EventQueue()
-    for index, cycle in enumerate(cycles):
-        queue.schedule(cycle, (cycle, index))
-    popped = list(queue.pop_due(1000))
-    assert [item[0] for item in popped] == sorted(cycles)
-    # Ties keep insertion order.
-    for earlier, later in zip(popped, popped[1:]):
-        if earlier[0] == later[0]:
-            assert earlier[1] < later[1]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.workloads import smp_workload
 from repro.common.errors import ConfigError, SimulationError
 from repro.memory.bus import Bus
 from repro.memory.cache import LineState
@@ -9,7 +10,7 @@ from repro.memory.dram import MemoryController
 from repro.model.simulator import build_hierarchy
 from repro.smp.coherence import CoherenceDomain
 from repro.smp.system import SmpSystem, run_smp
-from repro.trace.synth import generate_smp_traces, standard_profiles
+from repro.trace.synth import build_smp_generators, standard_profiles
 
 
 @pytest.fixture
@@ -119,7 +120,7 @@ class TestSmpSystem:
             prefetch=PrefetchParams(streams=8),
             bht=BhtParams("small-bht", entries=256, ways=4, access_latency=2),
         )
-        traces = generate_smp_traces(standard_profiles()["TPC-C"], 2, 4000, seed=3)
+        traces, _ = smp_workload(2, seed=3, warm=1000, timed=3000).smp_traces(2)
         return run_smp(config, traces, warmup_fraction=0.25)
 
     def test_all_cpus_commit(self, smp_result):
@@ -152,7 +153,7 @@ class TestSmpSystem:
         profile = standard_profiles()["TPC-C"].derived(
             shared_access_fraction=0.2, shared_write_fraction=0.5
         )
-        traces = generate_smp_traces(profile, 2, 6000, seed=5)
+        traces = [g.generate(6000) for g in build_smp_generators(profile, 2, seed=5)]
         result = run_smp(small_config, traces, warmup_fraction=0.2)
         assert (
             result.coherence["invalidations_sent"]

@@ -6,7 +6,7 @@ from repro.common.errors import ConfigError
 from repro.isa.opcodes import OpClass
 from repro.trace.synth import (
     TraceGenerator,
-    generate_smp_traces,
+    build_smp_generators,
     generate_trace,
     standard_profiles,
 )
@@ -155,26 +155,25 @@ class TestRegions:
         assert "kernel_code" not in generator.memory_regions()
 
 
+def smp_traces(profile_name, cpu_count, instructions, seed):
+    generators = build_smp_generators(standard_profiles()[profile_name], cpu_count, seed)
+    return [generator.generate(instructions) for generator in generators]
+
+
 class TestSmp:
     def test_per_cpu_traces(self):
-        traces = generate_smp_traces(
-            standard_profiles()["TPC-C"], 4, 3000, seed=3
-        )
+        traces = smp_traces("TPC-C", 4, 3000, seed=3)
         assert len(traces) == 4
         for trace in traces:
             trace.validate()
             assert len(trace) == 3000
 
     def test_cpu_streams_differ(self):
-        traces = generate_smp_traces(
-            standard_profiles()["TPC-C"], 2, 3000, seed=3
-        )
+        traces = smp_traces("TPC-C", 2, 3000, seed=3)
         assert traces[0].records != traces[1].records
 
     def test_shared_region_accessed(self):
-        traces = generate_smp_traces(
-            standard_profiles()["TPC-C"], 2, 20_000, seed=3
-        )
+        traces = smp_traces("TPC-C", 2, 20_000, seed=3)
         shared = [
             r
             for trace in traces
@@ -185,8 +184,8 @@ class TestSmp:
 
     def test_smp_requires_sharing_profile(self):
         with pytest.raises(ConfigError):
-            generate_smp_traces(standard_profiles()["SPECint95"], 2, 100, seed=1)
+            build_smp_generators(standard_profiles()["SPECint95"], 2, seed=1)
 
     def test_cpu_count_positive(self):
         with pytest.raises(ConfigError):
-            generate_smp_traces(standard_profiles()["TPC-C"], 0, 100, seed=1)
+            build_smp_generators(standard_profiles()["TPC-C"], 0, seed=1)

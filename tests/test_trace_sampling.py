@@ -6,8 +6,11 @@ import weakref
 import pytest
 
 from repro.common.errors import TraceError
+from repro.core.pipeline import sum_snapshots
+from repro.model.stats import SimResult
+from repro.observe.categories import BASE
 from repro.trace.record import make_alu
-from repro.trace.sampling import SamplingPlan, merge_window_ipc, sample_trace
+from repro.trace.sampling import SamplingPlan
 from repro.trace.stream import Trace
 
 
@@ -15,55 +18,60 @@ def make_trace(count):
     return Trace([make_alu(0x1000 + 4 * i, dest=8, srcs=()) for i in range(count)])
 
 
+def carve(period, sample_length):
+    """A plan whose windows are exactly ``sample_length`` measured records."""
+    return SamplingPlan(
+        period=period, sample_length=sample_length, detail_warmup=0, drain_pad=0
+    )
+
+
 class TestSampleTrace:
+    """Carving windows out of a trace: :meth:`SamplingPlan.windows` is the
+    one carver (``run_sampled`` slices each window's records by it)."""
+
     def test_window_count(self):
-        windows = list(sample_trace(make_trace(100), period=40, sample_length=10))
+        windows = list(carve(40, 10).windows(100))
         assert len(windows) == 3  # starts at 0, 40, 80
 
     def test_window_contents_contiguous(self):
-        windows = list(sample_trace(make_trace(100), period=40, sample_length=10))
-        first = windows[1]
-        assert first[0].pc == 0x1000 + 4 * 40
-        first.validate()
+        trace = make_trace(100)
+        window = list(carve(40, 10).windows(len(trace)))[1]
+        records = Trace(trace.records[window.detail_start : window.end])
+        assert records[0].pc == 0x1000 + 4 * 40
+        records.validate()
 
     def test_window_names_unique(self):
-        windows = list(sample_trace(make_trace(100), period=30, sample_length=5))
-        names = [window.name for window in windows]
-        assert len(set(names)) == len(names)
+        # run_sampled names each window trace "<trace>#w<index>".
+        indices = [window.index for window in carve(30, 5).windows(100)]
+        assert indices == list(range(len(indices)))
 
     def test_invalid_params(self):
         with pytest.raises(TraceError):
-            sample_trace(make_trace(10), period=0, sample_length=1)
+            carve(0, 1)
         with pytest.raises(TraceError):
-            sample_trace(make_trace(10), period=5, sample_length=6)
+            carve(5, 6)
 
     def test_invalid_params_raise_eagerly(self):
         # Validation must not be deferred to the first next() call, or a
         # bad plan sits undetected until a worker finally consumes it.
-        generator = None
+        plan = None
         try:
-            generator = sample_trace(make_trace(10), period=0, sample_length=1)
+            plan = carve(0, 1)
         except TraceError:
             pass
-        assert generator is None
+        assert plan is None
 
     def test_short_trace_no_windows(self):
-        assert list(sample_trace(make_trace(5), period=100, sample_length=10)) == []
+        assert list(carve(100, 10).windows(5)) == []
 
     def test_returns_lazy_iterator(self):
-        windows = sample_trace(make_trace(100), period=40, sample_length=10)
+        windows = carve(40, 10).windows(100)
         assert iter(windows) is windows  # a generator, not a list
 
     def test_windows_not_retained(self):
-        """Peak live windows stays at one: consumed windows are collectable.
-
-        Regression test for the eager-materialisation bug where
-        ``sample_trace`` built every window Trace up front, holding
-        O(trace/period) windows alive at once.
-        """
-        trace = make_trace(1000)
+        """Peak live windows stays at one: consumed windows are collectable."""
         refs = []
-        for window in sample_trace(trace, period=50, sample_length=25):
+        for window in carve(50, 25).windows(1000):
             refs.append(weakref.ref(window))
             del window
             gc.collect()
@@ -108,19 +116,13 @@ class TestSamplingPlan:
 
 
 class TestMergeIpc:
-    def test_weighted_by_cycles(self):
+    def test_weighted_by_cycles(self, zero_snapshot):
         # window A: 100 insts / 100 cycles; window B: 100 insts / 300 cycles
         # aggregate = 200/400 = 0.5, not mean(1.0, 0.33)
-        assert merge_window_ipc([100, 100], [100, 300]) == pytest.approx(0.5)
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(TraceError):
-            merge_window_ipc([1], [1, 2])
-
-    def test_rejects_empty(self):
-        with pytest.raises(TraceError):
-            merge_window_ipc([], [])
-
-    def test_rejects_zero_cycles(self):
-        with pytest.raises(TraceError):
-            merge_window_ipc([5], [0])
+        windows = [
+            dict(zero_snapshot, instructions=100, cycles=cycles, cpi_stack={BASE: cycles})
+            for cycles in (100, 300)
+        ]
+        totals = sum_snapshots(windows)
+        assert SimResult.from_counts("cfg", "t", totals).ipc == pytest.approx(0.5)
+        assert totals["cpi_stack"] == {BASE: 400}

@@ -4,7 +4,9 @@ Run:  python tools/regen_golden.py [--check] [--only base|cpistack]
 
 Regenerates, deterministically, from the current model:
 
-- ``tests/golden/base_config.json``  — pinned summary statistics
+- ``tests/golden/base_config.json``  — pinned summary statistics plus
+  a ``payload_sha256`` of each full result payload, for the standard
+  workloads, one SMP run and one sampled run
   (tests/test_golden_results.py);
 - ``tests/golden/cpi_stacks.json``   — pinned CPI-stack attribution
   (tests/test_golden_cpistacks.py).
