@@ -12,9 +12,9 @@ Paper-reported values to compare shapes against are embedded as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.report import format_table, percent
+from repro.analysis.report import cell, format_table, partial_note, percent
 from repro.analysis.runner import ExperimentRunner
 from repro.analysis.workloads import (
     Workload,
@@ -38,6 +38,7 @@ from repro.model.perfect import (
     breakdown_from_cycles,
     perfect_variants,
 )
+from repro.model.stats import SimResult, ipc_ratio
 from repro.observe.cpistack import render_stack_table
 
 #: Paper statements used for shape checks (values from §4 text).
@@ -55,6 +56,38 @@ PAPER_FIG16_SPECFP_GAIN = 0.13  # prefetch gains >13% IPC on SPECfp
 
 
 # ---------------------------------------------------------------------------
+# Shared table shapes; a point abandoned by the failure policy is ``n/a``.
+# ---------------------------------------------------------------------------
+
+
+def _study_table(
+    title: str,
+    headers: List[str],
+    ratio: "IpcRatioResult",
+    columns: List[Tuple[Dict[str, Optional[float]], int]],
+) -> str:
+    """One row per workload: ``ratio``'s IPC ratio, then each column's
+    percentage at its digits; footnoted when a point was abandoned."""
+    rows = [
+        (name, cell(value), *(cell(col[name], digits) for col, digits in columns))
+        for name, value in ratio.ratios.items()
+    ]
+    note = partial_note(ratio.missing, "workload")
+    return f"{title}\n{format_table(headers, rows)}{note}"
+
+
+def _per_workload(
+    runner: ExperimentRunner,
+    config: MachineConfig,
+    workloads: List[Workload],
+    read: Callable[[SimResult], float],
+) -> Dict[str, Optional[float]]:
+    """``read(result)`` per workload; ``None`` where the run was abandoned."""
+    results = {w.name: runner.try_run(config, w) for w in workloads}
+    return {name: None if r is None else read(r) for name, r in results.items()}
+
+
+# ---------------------------------------------------------------------------
 # Figure 7 — benchmark characteristics.
 # ---------------------------------------------------------------------------
 
@@ -64,6 +97,8 @@ class Fig07Result:
     """Execution-time breakdowns (Figure 7)."""
 
     breakdowns: List[StallBreakdown]
+    #: Workloads with a model abandoned by the failure policy.
+    missing: List[str] = field(default_factory=list)
 
     def format_table(self) -> str:
         rows = [
@@ -75,10 +110,10 @@ class Fig07Result:
                 percent(item.sx),
             )
             for item in self.breakdowns
-        ]
+        ] + [(name, "n/a", "n/a", "n/a", "n/a") for name in self.missing]
         return format_table(
             ["workload", "core", "branch", "ibs/tlb", "sx"], rows
-        )
+        ) + partial_note(self.missing, "workload")
 
 
 def fig07_characteristics(
@@ -99,12 +134,15 @@ def fig07_characteristics(
     runner.prefetch(
         up=[(variant, w) for variant in variants for w in workloads]
     )
-    breakdowns = []
+    result = Fig07Result([])
     for workload in workloads:
-        cycles = [runner.run(variant, workload).cycles for variant in variants]
-        breakdown = breakdown_from_cycles(workload.name, *cycles)
-        breakdowns.append(breakdown)
-    return Fig07Result(breakdowns)
+        runs = [runner.try_run(variant, workload) for variant in variants]
+        if any(run is None for run in runs):
+            result.missing.append(workload.name)
+            continue
+        cycles = [run.cycles for run in runs]
+        result.breakdowns.append(breakdown_from_cycles(workload.name, *cycles))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +162,8 @@ class CpiStackResult:
 
     stacks: Dict[str, Dict[str, int]]  # row label -> category -> cycles
     cycles: Dict[str, int]
+    #: Workloads whose run was abandoned; their (empty) rows show ``n/a``.
+    missing: List[str] = field(default_factory=list)
 
     def format_table(self) -> str:
         fine = render_stack_table(self.stacks)
@@ -133,7 +173,7 @@ class CpiStackResult:
             f"{fine}\n\n"
             "collapsed onto Figure 7 buckets:\n"
             f"{fig7}"
-        )
+        ) + partial_note(self.missing, "workload")
 
 
 def fig_cpistack(
@@ -146,13 +186,16 @@ def fig_cpistack(
     config = config or base_config()
     runner = runner or ExperimentRunner()
     runner.prefetch(up=[(config, w) for w in workloads])
-    stacks: Dict[str, Dict[str, int]] = {}
-    cycles: Dict[str, int] = {}
+    out = CpiStackResult({}, {})
     for workload in workloads:
-        result = runner.run(config, workload)
-        stacks[workload.name] = dict(result.core.cpi_stack)
-        cycles[workload.name] = result.cycles
-    return CpiStackResult(stacks, cycles)
+        result = runner.try_run(config, workload)
+        if result is None:
+            out.stacks[workload.name] = {}
+            out.missing.append(workload.name)
+            continue
+        out.stacks[workload.name] = dict(result.core.cpi_stack)
+        out.cycles[workload.name] = result.cycles
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -172,30 +215,22 @@ class IpcRatioResult:
     baseline_name: str
     alternative_name: str
     ratios: Dict[str, Optional[float]]  # workload -> alt IPC / baseline IPC
-    extras: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     @property
     def missing(self) -> List[str]:
         return [name for name, ratio in self.ratios.items() if ratio is None]
 
     def format_table(self) -> str:
-        rows = [
-            (name, "n/a", "n/a")
-            if ratio is None
-            else (name, f"{ratio:.4f}", percent(ratio - 1.0, 2))
+        delta = {
+            name: None if ratio is None else ratio - 1.0
             for name, ratio in self.ratios.items()
-        ]
-        table = format_table(
+        }
+        return _study_table(
+            self.title,
             ["workload", f"{self.alternative_name}/{self.baseline_name}", "delta"],
-            rows,
+            self,
+            [(delta, 2)],
         )
-        rendered = f"{self.title}\n{table}"
-        if self.missing:
-            rendered += (
-                f"\npartial: {len(self.missing)} workload(s) skipped after "
-                f"repeated failures ({', '.join(self.missing)})"
-            )
-        return rendered
 
 
 def _ipc_ratio_study(
@@ -214,11 +249,10 @@ def _ipc_ratio_study(
     for workload in workloads:
         base_result = runner.try_run(baseline, workload)
         alt_result = runner.try_run(alternative, workload)
-        if base_result is None or alt_result is None:
-            ratios[workload.name] = None
-            continue
         ratios[workload.name] = (
-            alt_result.ipc / base_result.ipc if base_result.ipc else 0.0
+            None
+            if base_result is None or alt_result is None
+            else ipc_ratio(alt_result, base_result)
         )
     return IpcRatioResult(title, baseline.name, alternative.name, ratios)
 
@@ -250,36 +284,28 @@ class BhtStudyResult:
     """Figure 9 (IPC ratio) + Figure 10 (misprediction rates)."""
 
     ipc_ratio: IpcRatioResult
-    mispredict_16k: Dict[str, float]
-    mispredict_4k: Dict[str, float]
+    mispredict_16k: Dict[str, Optional[float]]
+    mispredict_4k: Dict[str, Optional[float]]
 
     def format_table(self) -> str:
-        rows = []
-        for name in self.mispredict_16k:
-            big = self.mispredict_16k[name]
+        increase: Dict[str, Optional[float]] = {}
+        for name, big in self.mispredict_16k.items():
             small = self.mispredict_4k[name]
-            increase = (small - big) / big if big else 0.0
-            rows.append(
-                (
-                    name,
-                    f"{self.ipc_ratio.ratios[name]:.4f}",
-                    percent(big, 2),
-                    percent(small, 2),
-                    percent(increase, 0),
-                )
-            )
-        return (
-            "Figures 9/10: BHT 4k-2w.1t versus 16k-4w.2t\n"
-            + format_table(
-                [
-                    "workload",
-                    "IPC(4k)/IPC(16k)",
-                    "mispredict 16k-4w.2t",
-                    "mispredict 4k-2w.1t",
-                    "failure increase",
-                ],
-                rows,
-            )
+            if big is None or small is None:
+                increase[name] = None
+            else:
+                increase[name] = (small - big) / big if big else 0.0
+        return _study_table(
+            "Figures 9/10: BHT 4k-2w.1t versus 16k-4w.2t",
+            [
+                "workload",
+                "IPC(4k)/IPC(16k)",
+                "mispredict 16k-4w.2t",
+                "mispredict 4k-2w.1t",
+                "failure increase",
+            ],
+            self.ipc_ratio,
+            [(self.mispredict_16k, 2), (self.mispredict_4k, 2), (increase, 0)],
         )
 
 
@@ -299,13 +325,13 @@ def fig09_10_bht(
         workloads,
         runner,
     )
-    big = {
-        w.name: runner.run(baseline, w).bht_misprediction_ratio for w in workloads
-    }
-    small = {
-        w.name: runner.run(alternative, w).bht_misprediction_ratio for w in workloads
-    }
-    return BhtStudyResult(ratio, big, small)
+
+    def mispredicts(config: MachineConfig) -> Dict[str, Optional[float]]:
+        return _per_workload(
+            runner, config, workloads, lambda r: r.bht_misprediction_ratio
+        )
+
+    return BhtStudyResult(ratio, mispredicts(baseline), mispredicts(alternative))
 
 
 # ---------------------------------------------------------------------------
@@ -318,37 +344,29 @@ class L1StudyResult:
     """Figure 11 (IPC) + Figures 12/13 (I and D miss ratios)."""
 
     ipc_ratio: IpcRatioResult
-    imiss_128k: Dict[str, float]
-    imiss_32k: Dict[str, float]
-    dmiss_128k: Dict[str, float]
-    dmiss_32k: Dict[str, float]
+    imiss_128k: Dict[str, Optional[float]]
+    imiss_32k: Dict[str, Optional[float]]
+    dmiss_128k: Dict[str, Optional[float]]
+    dmiss_32k: Dict[str, Optional[float]]
 
     def format_table(self) -> str:
-        rows = []
-        for name in self.imiss_128k:
-            rows.append(
-                (
-                    name,
-                    f"{self.ipc_ratio.ratios[name]:.4f}",
-                    percent(self.imiss_128k[name], 2),
-                    percent(self.imiss_32k[name], 2),
-                    percent(self.dmiss_128k[name], 2),
-                    percent(self.dmiss_32k[name], 2),
+        return _study_table(
+            "Figures 11-13: L1 32k-1w.3c versus 128k-2w.4c",
+            [
+                "workload",
+                "IPC(32k)/IPC(128k)",
+                "I-miss 128k",
+                "I-miss 32k",
+                "D-miss 128k",
+                "D-miss 32k",
+            ],
+            self.ipc_ratio,
+            [
+                (column, 2)
+                for column in (
+                    self.imiss_128k, self.imiss_32k, self.dmiss_128k, self.dmiss_32k
                 )
-            )
-        return (
-            "Figures 11-13: L1 32k-1w.3c versus 128k-2w.4c\n"
-            + format_table(
-                [
-                    "workload",
-                    "IPC(32k)/IPC(128k)",
-                    "I-miss 128k",
-                    "I-miss 32k",
-                    "D-miss 128k",
-                    "D-miss 32k",
-                ],
-                rows,
-            )
+            ],
         )
 
 
@@ -368,12 +386,16 @@ def fig11_12_13_l1(
         workloads,
         runner,
     )
+
+    def misses(config: MachineConfig, cache: str) -> Dict[str, Optional[float]]:
+        return _per_workload(runner, config, workloads, lambda r: r.miss_ratio(cache))
+
     return L1StudyResult(
         ipc_ratio=ratio,
-        imiss_128k={w.name: runner.run(baseline, w).miss_ratio("l1i") for w in workloads},
-        imiss_32k={w.name: runner.run(alternative, w).miss_ratio("l1i") for w in workloads},
-        dmiss_128k={w.name: runner.run(baseline, w).miss_ratio("l1d") for w in workloads},
-        dmiss_32k={w.name: runner.run(alternative, w).miss_ratio("l1d") for w in workloads},
+        imiss_128k=misses(baseline, "l1i"),
+        imiss_32k=misses(alternative, "l1i"),
+        dmiss_128k=misses(baseline, "l1d"),
+        dmiss_32k=misses(alternative, "l1d"),
     )
 
 
@@ -386,13 +408,22 @@ def fig11_12_13_l1(
 class L2StudyResult:
     """Figure 14 (IPC ratios) + Figure 15 (L2 miss ratios)."""
 
-    #: workload -> config label -> IPC relative to on.2m-4w
-    ipc_ratios: Dict[str, Dict[str, float]]
+    #: workload -> config label -> IPC relative to on.2m-4w (``None``:
+    #: that point or the on.2m-4w one was abandoned)
+    ipc_ratios: Dict[str, Dict[str, Optional[float]]]
     #: workload -> config label -> L2 demand miss ratio
-    miss_ratios: Dict[str, Dict[str, float]]
+    miss_ratios: Dict[str, Dict[str, Optional[float]]]
     labels: List[str] = field(
         default_factory=lambda: ["on.2m-4w", "off.8m-2w", "off.8m-1w"]
     )
+
+    @property
+    def missing(self) -> List[str]:
+        return [
+            name
+            for name, per_config in self.ipc_ratios.items()
+            if None in per_config.values()
+        ]
 
     def format_table(self) -> str:
         rows = []
@@ -401,8 +432,8 @@ class L2StudyResult:
             rows.append(
                 (
                     name,
-                    *(f"{per_config[label]:.4f}" for label in self.labels),
-                    *(percent(misses[label], 2) for label in self.labels),
+                    *(cell(per_config[label]) for label in self.labels),
+                    *(cell(misses[label], 2) for label in self.labels),
                 )
             )
         headers = (
@@ -410,7 +441,11 @@ class L2StudyResult:
             + [f"IPC {label}" for label in self.labels]
             + [f"L2 miss {label}" for label in self.labels]
         )
-        return "Figures 14/15: L2 design study\n" + format_table(headers, rows)
+        return (
+            "Figures 14/15: L2 design study\n"
+            + format_table(headers, rows)
+            + partial_note(self.missing, "workload")
+        )
 
 
 def fig14_15_l2(
@@ -437,36 +472,36 @@ def fig14_15_l2(
             else []
         ),
     )
-    ipc_ratios: Dict[str, Dict[str, float]] = {}
-    miss_ratios: Dict[str, Dict[str, float]] = {}
+    ipc_ratios: Dict[str, Dict[str, Optional[float]]] = {}
+    miss_ratios: Dict[str, Dict[str, Optional[float]]] = {}
+
+    def tabulate(name: str, results: dict, l2_miss: Callable) -> None:
+        # ``None`` marks a point abandoned by the failure policy.
+        base = results["on.2m-4w"]
+        ipc_ratios[name] = {
+            label: None if result is None or base is None else ipc_ratio(result, base)
+            for label, result in results.items()
+        }
+        miss_ratios[name] = {
+            label: None if result is None else l2_miss(result)
+            for label, result in results.items()
+        }
+
     for workload in workloads:
-        ipcs = {}
-        misses = {}
-        for label, config in configs.items():
-            result = runner.run(config, workload)
-            ipcs[label] = result.ipc
-            misses[label] = result.miss_ratio("l2")
-        base_ipc = ipcs["on.2m-4w"]
-        ipc_ratios[workload.name] = {
-            label: value / base_ipc if base_ipc else 0.0
-            for label, value in ipcs.items()
-        }
-        miss_ratios[workload.name] = misses
-
+        tabulate(
+            workload.name,
+            {label: runner.try_run(c, workload) for label, c in configs.items()},
+            lambda result: result.miss_ratio("l2"),
+        )
     if include_smp:
-        ipcs = {}
-        misses = {}
-        for label, config in configs.items():
-            result = runner.run_smp(config, smp, smp_cpus)
-            ipcs[label] = result.ipc
-            misses[label] = result.l2_miss_ratio()
-        base_ipc = ipcs["on.2m-4w"]
-        ipc_ratios[smp.name] = {
-            label: value / base_ipc if base_ipc else 0.0
-            for label, value in ipcs.items()
-        }
-        miss_ratios[smp.name] = misses
-
+        tabulate(
+            smp.name,
+            {
+                label: runner.try_run_smp(c, smp, smp_cpus)
+                for label, c in configs.items()
+            },
+            lambda result: result.l2_miss_ratio(),
+        )
     return L2StudyResult(ipc_ratios=ipc_ratios, miss_ratios=miss_ratios)
 
 
@@ -480,34 +515,25 @@ class PrefetchStudyResult:
     """Figure 16 (IPC impact) + Figure 17 (L2 miss with/without)."""
 
     ipc_ratio: IpcRatioResult  # with-prefetch relative to without
-    miss_with: Dict[str, float]  # all requests including prefetches
-    miss_with_demand: Dict[str, float]  # demand requests only
-    miss_without: Dict[str, float]
+    miss_with: Dict[str, Optional[float]]  # all requests including prefetches
+    miss_with_demand: Dict[str, Optional[float]]  # demand requests only
+    miss_without: Dict[str, Optional[float]]
 
     def format_table(self) -> str:
-        rows = []
-        for name in self.miss_with:
-            rows.append(
-                (
-                    name,
-                    f"{self.ipc_ratio.ratios[name]:.4f}",
-                    percent(self.miss_with[name], 2),
-                    percent(self.miss_with_demand[name], 2),
-                    percent(self.miss_without[name], 2),
-                )
-            )
-        return (
-            "Figures 16/17: hardware prefetching\n"
-            + format_table(
-                [
-                    "workload",
-                    "IPC(with)/IPC(without)",
-                    "L2 miss with",
-                    "L2 miss with-Demand",
-                    "L2 miss without",
-                ],
-                rows,
-            )
+        return _study_table(
+            "Figures 16/17: hardware prefetching",
+            [
+                "workload",
+                "IPC(with)/IPC(without)",
+                "L2 miss with",
+                "L2 miss with-Demand",
+                "L2 miss without",
+            ],
+            self.ipc_ratio,
+            [
+                (column, 2)
+                for column in (self.miss_with, self.miss_with_demand, self.miss_without)
+            ],
         )
 
 
@@ -527,18 +553,17 @@ def fig16_17_prefetch(
         workloads,
         runner,
     )
+
+    def l2_misses(config: MachineConfig, demand: bool) -> Dict[str, Optional[float]]:
+        return _per_workload(
+            runner, config, workloads, lambda r: r.miss_ratio("l2", demand)
+        )
+
     return PrefetchStudyResult(
         ipc_ratio=ratio,
-        miss_with={
-            w.name: runner.run(with_pf, w).miss_ratio("l2", demand_only=False)
-            for w in workloads
-        },
-        miss_with_demand={
-            w.name: runner.run(with_pf, w).miss_ratio("l2") for w in workloads
-        },
-        miss_without={
-            w.name: runner.run(without_pf, w).miss_ratio("l2") for w in workloads
-        },
+        miss_with=l2_misses(with_pf, False),
+        miss_with_demand=l2_misses(with_pf, True),
+        miss_without=l2_misses(without_pf, True),
     )
 
 

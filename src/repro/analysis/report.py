@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 
 def format_table(headers: Sequence[str], rows: List[Sequence[object]]) -> str:
@@ -28,3 +28,21 @@ def format_table(headers: Sequence[str], rows: List[Sequence[object]]) -> str:
 def percent(value: float, digits: int = 1) -> str:
     """Format a fraction as a percentage string."""
     return f"{100.0 * value:.{digits}f}%"
+
+
+def cell(value: Optional[float], digits: Optional[int] = None) -> str:
+    """A ratio to four decimals, or a percentage at ``digits``; ``n/a``
+    for a point the failure policy abandoned."""
+    if value is None:
+        return "n/a"
+    return f"{value:.4f}" if digits is None else percent(value, digits)
+
+
+def partial_note(missing: Sequence[str], noun: str) -> str:
+    """Footnote listing a table's abandoned entries; empty if none."""
+    if not missing:
+        return ""
+    return (
+        f"\npartial: {len(missing)} {noun}(s) skipped after "
+        f"repeated failures ({', '.join(missing)})"
+    )

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.analysis.report import format_table
+from repro.analysis.report import cell, format_table, partial_note
 from repro.analysis.runner import ExperimentRunner, point_label
 from repro.analysis.workloads import Workload, smp_workload, workload_by_name
 from repro.frontend.bht import BhtParams
@@ -66,20 +66,12 @@ class SweepResult:
 
     def format_table(self) -> str:
         headers = [self.axis] + list(self.series)
-        rows = []
-        for index, point in enumerate(self.points):
-            row = [point] + [
-                "n/a" if values[index] is None else f"{values[index]:.4f}"
-                for values in self.series.values()
-            ]
-            rows.append(row)
-        table = f"{self.title}\n{format_table(headers, rows)}"
-        if self.missing:
-            table += (
-                f"\npartial: {len(self.missing)} point(s) skipped after "
-                f"repeated failures ({', '.join(self.missing)})"
-            )
-        return table
+        rows = [
+            [point] + [cell(values[index]) for values in self.series.values()]
+            for index, point in enumerate(self.points)
+        ]
+        table = format_table(headers, rows)
+        return f"{self.title}\n{table}{partial_note(self.missing, 'point')}"
 
 
 def _tabulate(

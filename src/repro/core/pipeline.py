@@ -160,8 +160,11 @@ def _diff_snapshots(start: Dict[str, object], end: Dict[str, object]) -> Dict[st
     for key, after in end.items():
         before = start[key]
         if isinstance(after, dict):
-            keys = set(after) | set(before)
-            out[key] = {k: after.get(k, 0) - before.get(k, 0) for k in keys}
+            # Union in insertion order, so payload bytes never depend
+            # on the interpreter's hash seed.
+            out[key] = {
+                k: after.get(k, 0) - before.get(k, 0) for k in {**before, **after}
+            }
         else:
             out[key] = after - before
     out["cpi_stack"] = prune(out["cpi_stack"])

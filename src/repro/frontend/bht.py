@@ -17,7 +17,7 @@ large-footprint workloads (TPC-C, Figure 10).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from repro.common.errors import ConfigError
 from repro.common.units import is_power_of_two
@@ -67,47 +67,28 @@ class BhtStats:
         return self.mispredictions / self.conditional_branches
 
 
-class _Entry:
-    __slots__ = ("tag", "counter", "lru")
-
-    def __init__(self, tag: int, counter: int, lru: int) -> None:
-        self.tag = tag
-        self.counter = counter
-        self.lru = lru
-
-
 class BranchHistoryTable:
     """Tagged, set-associative, 2-bit-counter direction predictor.
 
-    Each set holds only its allocated entries, growing to ``ways``; a
-    full set evicts its least recently used entry.
+    Each set is a dict from word address to counter that holds only
+    allocated entries, in recency order, least recently used first; a
+    full set evicts its first entry.
     """
 
     def __init__(self, params: BhtParams) -> None:
         self.params = params
         sets = params.entries // params.ways
-        self._sets: List[List[_Entry]] = [[] for _ in range(sets)]
+        self._sets: List[Dict[int, int]] = [{} for _ in range(sets)]
         self._set_mask = sets - 1
-        self._clock = 0
         self.stats = BhtStats()
-
-    def _find(self, pc: int):
-        word = pc >> 2
-        bucket = self._sets[word & self._set_mask]
-        for entry in bucket:
-            if entry.tag == word:
-                return bucket, entry, word
-        return bucket, None, word
 
     def predict(self, pc: int) -> bool:
         """Predict the direction of the conditional branch at ``pc``.
 
         A branch with no table entry predicts not-taken.
         """
-        _, entry, _ = self._find(pc)
-        if entry is None:
-            return False
-        return entry.counter >= 2
+        word = pc >> 2
+        return self._sets[word & self._set_mask].get(word, 0) >= 2
 
     def warm(self, pc: int, taken: bool) -> None:
         """Functionally train the predictor with one resolved branch.
@@ -121,21 +102,20 @@ class BranchHistoryTable:
 
     def update(self, pc: int, taken: bool, predicted: bool) -> None:
         """Train the table with the resolved outcome and log accuracy."""
-        self._clock += 1
         self.stats.conditional_branches += 1
         if taken != predicted:
             self.stats.mispredictions += 1
-        bucket, entry, tag = self._find(pc)
-        if entry is None:
+        word = pc >> 2
+        bucket = self._sets[word & self._set_mask]
+        counter = bucket.pop(word, None)
+        if counter is None:
             if not taken:
                 return  # not-taken branches are not allocated
             self.stats.taken_misses += 1
             if len(bucket) == self.params.ways:
-                bucket.remove(min(bucket, key=lambda candidate: candidate.lru))
-            bucket.append(_Entry(tag, 2, self._clock))  # weakly taken
-            return
-        entry.lru = self._clock
-        if taken:
-            entry.counter = min(3, entry.counter + 1)
+                del bucket[next(iter(bucket))]
+            bucket[word] = 2  # weakly taken
+        elif taken:
+            bucket[word] = min(3, counter + 1)
         else:
-            entry.counter = max(0, entry.counter - 1)
+            bucket[word] = max(0, counter - 1)

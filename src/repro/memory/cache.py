@@ -12,9 +12,9 @@ requests are transfers of M/O lines between L2 caches).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import SimulationError
 from repro.memory.params import CacheGeometry
@@ -32,10 +32,6 @@ class LineState(IntEnum):
     @property
     def is_dirty(self) -> bool:
         return self in (LineState.MODIFIED, LineState.OWNED)
-
-    @property
-    def is_valid(self) -> bool:
-        return self != LineState.INVALID
 
 
 @dataclass
@@ -80,16 +76,6 @@ class CacheStats:
         }
 
 
-class _Line:
-    __slots__ = ("tag", "state", "lru", "from_prefetch")
-
-    def __init__(self) -> None:
-        self.tag = -1
-        self.state = LineState.INVALID
-        self.lru = 0
-        self.from_prefetch = False
-
-
 @dataclass
 class EvictedLine:
     """Description of a line displaced by a fill."""
@@ -103,17 +89,23 @@ class EvictedLine:
 
 
 class SetAssociativeCache:
-    """Tag array with per-set true LRU replacement."""
+    """Tag array with per-set true LRU replacement.
+
+    Each set is a dict from full line number to :class:`LineState` that
+    holds only valid lines, in recency order, least recently used first:
+    a hit pops its key and reinserts it, a fill into a full set evicts
+    the first key, and an invalidation deletes the key.
+    """
 
     def __init__(self, geometry: CacheGeometry) -> None:
         self.geometry = geometry
-        self._sets: List[List[_Line]] = [
-            [_Line() for _ in range(geometry.ways)] for _ in range(geometry.sets)
-        ]
+        self._sets: List[Dict[int, LineState]] = [{} for _ in range(geometry.sets)]
+        self._ways = geometry.ways
         self._set_mask = geometry.sets - 1
         self._set_bits = geometry.sets.bit_length() - 1
         self._line_shift = geometry.line_bytes.bit_length() - 1
-        self._lru_clock = 0
+        #: Resident lines installed by a prefetch and not yet demanded.
+        self._prefetched: Set[int] = set()
         self.stats = CacheStats()
 
     # -- address helpers -------------------------------------------------
@@ -122,17 +114,16 @@ class SetAssociativeCache:
         """Line-aligned address containing ``addr``."""
         return addr >> self._line_shift << self._line_shift
 
-    def _index_tag(self, addr: int) -> Tuple[int, int]:
+    def _set_of(self, addr: int) -> Tuple[Dict[int, LineState], int]:
         line = addr >> self._line_shift
         # XOR-fold the upper line bits into the index.  The simulator works
         # on virtual addresses; real systems scatter page placement through
         # virtual-to-physical translation, so naturally-aligned region
         # bases (all powers of two here) would otherwise pathologically
         # collide in set 0 of large caches.  The fold stands in for that
-        # translation scramble.  The tag stays the full line number, so
+        # translation scramble.  The key stays the full line number, so
         # correctness is unaffected.
-        index = (line ^ (line >> self._set_bits)) & self._set_mask
-        return index, line
+        return self._sets[(line ^ (line >> self._set_bits)) & self._set_mask], line
 
     def bank_of(self, addr: int) -> int:
         """Bank index for the L1 operand cache's 8 × 4 B interleave."""
@@ -142,11 +133,8 @@ class SetAssociativeCache:
 
     def probe(self, addr: int) -> Optional[LineState]:
         """State of the line containing ``addr`` without updating LRU."""
-        index, tag = self._index_tag(addr)
-        for line in self._sets[index]:
-            if line.tag == tag and line.state.is_valid:
-                return line.state
-        return None
+        bucket, line = self._set_of(addr)
+        return bucket.get(line)
 
     def lookup(self, addr: int, is_write: bool = False, prefetch: bool = False) -> bool:
         """Access the cache; returns True on hit.
@@ -156,19 +144,14 @@ class SetAssociativeCache:
         Upgrade traffic for writes hitting SHARED lines is handled by the
         coherence domain, not here.
         """
-        index, tag = self._index_tag(addr)
-        self._lru_clock += 1
-        hit = False
-        for line in self._sets[index]:
-            if line.tag == tag and line.state.is_valid:
-                line.lru = self._lru_clock
-                if is_write:
-                    line.state = LineState.MODIFIED
-                if line.from_prefetch and not prefetch:
-                    self.stats.prefetch_useful += 1
-                    line.from_prefetch = False
-                hit = True
-                break
+        bucket, line = self._set_of(addr)
+        state = bucket.pop(line, None)
+        hit = state is not None
+        if hit:
+            bucket[line] = LineState.MODIFIED if is_write else state
+            if not prefetch and line in self._prefetched:
+                self._prefetched.remove(line)
+                self.stats.prefetch_useful += 1
         if prefetch:
             self.stats.prefetch_accesses += 1
             if not hit:
@@ -194,43 +177,41 @@ class SetAssociativeCache:
         """
         if state == LineState.INVALID:
             raise SimulationError("cannot fill a line to INVALID")
-        index, tag = self._index_tag(addr)
-        self._lru_clock += 1
-        bucket = self._sets[index]
-        victim: Optional[_Line] = None
-        for line in bucket:
-            if line.tag == tag and line.state.is_valid:
-                line.state = state
-                line.lru = self._lru_clock
-                return None
-            if not line.state.is_valid and victim is None:
-                victim = line
-        if victim is None:
-            victim = min(bucket, key=lambda line: line.lru)
+        bucket, line = self._set_of(addr)
+        if bucket.pop(line, None) is not None:
+            bucket[line] = state
+            return None
         evicted: Optional[EvictedLine] = None
-        if victim.state.is_valid:
+        if len(bucket) == self._ways:
+            victim = next(iter(bucket))
             evicted = EvictedLine(
-                line_addr=victim.tag << self._line_shift, state=victim.state
+                line_addr=victim << self._line_shift, state=bucket.pop(victim)
             )
+            self._prefetched.discard(victim)
             if evicted.dirty:
                 self.stats.writebacks += 1
-        victim.tag = tag
-        victim.state = state
-        victim.lru = self._lru_clock
-        victim.from_prefetch = from_prefetch
+        bucket[line] = state
+        if from_prefetch:
+            self._prefetched.add(line)
         return evicted
 
     def downgrade(self, addr: int, state: LineState) -> Optional[LineState]:
-        """Change the line's state (snoop response); returns prior state."""
-        index, tag = self._index_tag(addr)
-        for line in self._sets[index]:
-            if line.tag == tag and line.state.is_valid:
-                previous = line.state
-                line.state = state
-                if state == LineState.INVALID:
-                    self.stats.invalidations_received += 1
-                return previous
-        return None
+        """Change the line's state (snoop response); returns prior state.
+
+        Downgrading to INVALID removes the line; any other state is set
+        in place, leaving the line's LRU position unchanged.
+        """
+        bucket, line = self._set_of(addr)
+        previous = bucket.get(line)
+        if previous is None:
+            return None
+        if state == LineState.INVALID:
+            del bucket[line]
+            self._prefetched.discard(line)
+            self.stats.invalidations_received += 1
+        else:
+            bucket[line] = state
+        return previous
 
     def invalidate(self, addr: int) -> Optional[LineState]:
         """Invalidate the line containing ``addr``; returns prior state."""
@@ -240,9 +221,7 @@ class SetAssociativeCache:
 
     def valid_line_count(self) -> int:
         """Number of valid lines currently resident."""
-        return sum(
-            1 for bucket in self._sets for line in bucket if line.state.is_valid
-        )
+        return sum(len(bucket) for bucket in self._sets)
 
     def resident(self, addr: int) -> bool:
         """True if the line containing ``addr`` is valid in the cache."""

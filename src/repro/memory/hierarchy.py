@@ -427,6 +427,5 @@ class MemoryHierarchy:
             self.l1i.invalidate(line)
         elif state in (LineState.SHARED, LineState.OWNED):
             # L1 copies lose write permission.
-            if self.l1d.probe(line) is not None:
-                self.l1d.downgrade(line, LineState.SHARED)
+            self.l1d.downgrade(line, LineState.SHARED)
         return previous

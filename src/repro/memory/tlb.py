@@ -10,7 +10,7 @@ it (TLB stalls appear combined with L1 miss stalls in Figure 7's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from repro.memory.params import TlbGeometry
 
@@ -27,56 +27,33 @@ class TlbStats:
         return self.misses / self.accesses
 
 
-class _TlbEntry:
-    __slots__ = ("tag", "valid", "lru")
-
-    def __init__(self) -> None:
-        self.tag = -1
-        self.valid = False
-        self.lru = 0
-
-
 class Tlb:
-    """A set-associative TLB with true LRU."""
+    """A set-associative TLB with true LRU.
+
+    Each set is a dict keyed by page number (values unused) in recency
+    order, least recently used first.
+    """
 
     def __init__(self, geometry: TlbGeometry) -> None:
         self.geometry = geometry
         sets = geometry.entries // geometry.ways
-        self._sets: List[List[_TlbEntry]] = [
-            [_TlbEntry() for _ in range(geometry.ways)] for _ in range(sets)
-        ]
+        self._sets: List[Dict[int, None]] = [{} for _ in range(sets)]
         self._set_mask = sets - 1
         self._page_shift = geometry.page_bytes.bit_length() - 1
-        self._clock = 0
         self.stats = TlbStats()
 
     def translate(self, addr: int) -> int:
         """Look up the page of ``addr``; returns extra cycles (0 on hit)."""
         page = addr >> self._page_shift
-        index = page & self._set_mask
-        self._clock += 1
+        bucket = self._sets[page & self._set_mask]
         self.stats.accesses += 1
-        bucket = self._sets[index]
-        for entry in bucket:
-            if entry.valid and entry.tag == page:
-                entry.lru = self._clock
-                return 0
+        if page in bucket:
+            del bucket[page]
+            bucket[page] = None
+            return 0
         # Miss: walk, then install with LRU replacement.
         self.stats.misses += 1
-        victim = None
-        for entry in bucket:
-            if not entry.valid:
-                victim = entry
-                break
-        if victim is None:
-            victim = min(bucket, key=lambda entry: entry.lru)
-        victim.tag = page
-        victim.valid = True
-        victim.lru = self._clock
+        if len(bucket) == self.geometry.ways:
+            del bucket[next(iter(bucket))]
+        bucket[page] = None
         return self.geometry.miss_penalty
-
-    def flush(self) -> None:
-        """Invalidate all entries (context switch)."""
-        for bucket in self._sets:
-            for entry in bucket:
-                entry.valid = False

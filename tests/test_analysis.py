@@ -4,8 +4,13 @@ import pytest
 
 from repro.analysis import (
     ExperimentRunner,
+    ParallelRunner,
+    fig_cpistack,
+    fig07_characteristics,
     fig08_issue_width,
     fig09_10_bht,
+    fig11_12_13_l1,
+    fig14_15_l2,
     fig16_17_prefetch,
     fig18_reservation,
     smp_workload,
@@ -14,7 +19,9 @@ from repro.analysis import (
     tpcc_workload,
     workload_by_name,
 )
+from repro.analysis.policy import RunPolicy
 from repro.analysis.report import format_table, percent
+from repro.common import faults
 from repro.common.errors import ConfigError
 from repro.model.config import base_config
 
@@ -110,6 +117,56 @@ class TestFigureFunctions:
         # 1RS and 2RS differ by a few percent at most.
         for ratio in result.ratios.values():
             assert 0.9 < ratio < 1.1
+
+
+def _fig14_with_2p(workloads, runner):
+    smp = smp_workload(2, warm=2000, timed=800)
+    return fig14_15_l2(workloads, runner, smp_cpus=2, smp_workload_override=smp)
+
+
+class TestPartialFigures:
+    """Under ``on_failure="skip"`` an abandoned point renders ``n/a`` and a
+    ``partial:`` footnote in every figure instead of raising."""
+
+    @pytest.mark.parametrize(
+        "figure, match",
+        [
+            (fig07_characteristics, "SPECfp95@SPARC64-V+perfectL2"),
+            (fig_cpistack, "SPECfp95@SPARC64-V"),
+            (fig09_10_bht, "SPECfp95@bht-4k"),
+            (fig11_12_13_l1, "SPECfp95@l1-32k"),
+            (_fig14_with_2p, "x2P@l2-off.8m-1w"),
+            (fig16_17_prefetch, "SPECfp95@no-prefetch"),
+        ],
+        ids=["fig07", "cpistack", "fig09_10", "fig11_12_13", "fig14_15", "fig16_17"],
+    )
+    def test_abandoned_point_renders_partial_table(self, figure, match, tmp_path):
+        workloads = [
+            workload_by_name(name, warm=2000, timed=800)
+            for name in ("SPECint95", "SPECfp95")
+        ]
+        faults.install_spec(f"worker-raise,times=5,match={match}")
+        runner = ParallelRunner(
+            jobs=2,
+            cache_dir=str(tmp_path),
+            policy=RunPolicy(
+                retries=0, on_failure="skip", backoff_base=0.01, backoff_max=0.05
+            ),
+        )
+        try:
+            table = figure(workloads, runner=runner).format_table()
+        finally:
+            faults.install_spec(None)
+            faults.reset()
+            runner.close()
+        assert len(runner.stats.skipped) == 1
+        missing = "TPC-C (2P)" if match.startswith("x2P") else "SPECfp95"
+        assert f"partial: 1 workload(s) skipped after repeated failures ({missing})" in table
+        rows = [line for line in table.splitlines() if line.startswith(missing)]
+        assert rows and all("n/a" in row for row in rows)
+        assert not any(
+            "n/a" in line for line in table.splitlines() if line.startswith("SPECint95")
+        )
 
 
 class TestReport:

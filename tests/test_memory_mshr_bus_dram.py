@@ -133,12 +133,6 @@ class TestTlb:
         tlb.translate(0x2000 * 2)  # same set (2 sets, page stride)
         assert tlb.translate(0x0000) == 30  # evicted
 
-    def test_flush(self):
-        tlb = Tlb(TlbGeometry("t", entries=8, ways=2, miss_penalty=30))
-        tlb.translate(0x10000)
-        tlb.flush()
-        assert tlb.translate(0x10000) == 30
-
     def test_miss_ratio(self):
         tlb = Tlb(TlbGeometry("t", entries=8, ways=2))
         tlb.translate(0x10000)

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from repro.common.rng import DeterministicRng
 from repro.memory.bus import Bus
-from repro.memory.cache import LineState, SetAssociativeCache
+from repro.memory.cache import CacheStats, EvictedLine, LineState, SetAssociativeCache
 from repro.memory.mshr import MshrFile
-from repro.memory.params import BusParams, CacheGeometry
+from repro.memory.params import BusParams, CacheGeometry, TlbGeometry
+from repro.memory.tlb import Tlb, TlbStats
 from repro.frontend.bht import BhtParams, BranchHistoryTable
 from repro.trace.io import read_trace, write_trace
 from repro.trace.record import TraceRecord
@@ -55,6 +56,133 @@ def test_cache_stats_consistent(addrs):
     stats = cache.stats
     assert stats.demand_misses <= stats.demand_accesses == len(addrs)
     assert 0.0 <= stats.demand_miss_ratio <= 1.0
+
+
+class _SlotCache:
+    """Oracle: a tag array that pre-allocates ``ways`` slots per set,
+    each ``[tag, state, lru, from_prefetch]`` under one LRU clock, and
+    fills the first invalid slot before evicting the least ``lru``."""
+
+    def __init__(self, geometry):
+        self.sets = [[[-1, LineState.INVALID, 0, False] for _ in range(geometry.ways)]
+                     for _ in range(geometry.sets)]
+        self.shift = geometry.line_bytes.bit_length() - 1
+        self.bits = geometry.sets.bit_length() - 1
+        self.clock, self.stats = 0, CacheStats()
+
+    def _find(self, addr):
+        line = addr >> self.shift
+        bucket = self.sets[(line ^ (line >> self.bits)) % len(self.sets)]
+        return bucket, line, next((s for s in bucket if s[0] == line and s[1]), None)
+
+    def probe(self, addr):
+        slot = self._find(addr)[2]
+        return slot[1] if slot else None
+
+    def lookup(self, addr, is_write, prefetch):
+        self.clock += 1
+        slot = self._find(addr)[2]
+        if slot:
+            slot[2] = self.clock
+            slot[1] = LineState.MODIFIED if is_write else slot[1]
+            self.stats.prefetch_useful += slot[3] and not prefetch
+            slot[3] = slot[3] and prefetch
+        kind = "prefetch" if prefetch else "demand"
+        setattr(self.stats, f"{kind}_accesses", getattr(self.stats, f"{kind}_accesses") + 1)
+        setattr(self.stats, f"{kind}_misses", getattr(self.stats, f"{kind}_misses") + (not slot))
+        return bool(slot)
+
+    def fill(self, addr, state, from_prefetch):
+        self.clock += 1
+        bucket, line, slot = self._find(addr)
+        if slot:
+            slot[1:3] = [state, self.clock]
+            return None
+        free = [s for s in bucket if not s[1]]
+        victim = free[0] if free else min(bucket, key=lambda s: s[2])
+        evicted = EvictedLine(victim[0] << self.shift, victim[1]) if victim[1] else None
+        self.stats.writebacks += bool(evicted and evicted.dirty)
+        victim[:] = [line, state, self.clock, from_prefetch]
+        return evicted
+
+    def downgrade(self, addr, state):
+        slot = self._find(addr)[2]
+        if not slot:
+            return None
+        previous, slot[1] = slot[1], state
+        self.stats.invalidations_received += state == LineState.INVALID
+        return previous
+
+    def invalidate(self, addr):
+        return self.downgrade(addr, LineState.INVALID)
+
+
+class _SlotTlb:
+    """Oracle: the TLB as pre-allocated ``[valid, page, lru]`` slots."""
+
+    def __init__(self, geometry):
+        self.sets = [[[False, -1, 0] for _ in range(geometry.ways)]
+                     for _ in range(geometry.entries // geometry.ways)]
+        self.shift = geometry.page_bytes.bit_length() - 1
+        self.geometry, self.clock, self.stats = geometry, 0, TlbStats()
+
+    def translate(self, addr):
+        page = addr >> self.shift
+        bucket = self.sets[page % len(self.sets)]
+        self.clock += 1
+        self.stats.accesses += 1
+        entry = next((e for e in bucket if e[0] and e[1] == page), None)
+        if entry:
+            entry[2] = self.clock
+            return 0
+        self.stats.misses += 1
+        free = [e for e in bucket if not e[0]]
+        victim = free[0] if free else min(bucket, key=lambda e: e[2])
+        victim[:] = [True, page, self.clock]
+        return self.geometry.miss_penalty
+
+
+#: 16 lines of 64 B: they conflict, and hit, in every geometry below.
+line_addresses = st.integers(0, 16 * 64 - 1)
+cache_operations = st.one_of(
+    st.tuples(st.just("lookup"), line_addresses, st.booleans(), st.booleans()),
+    st.tuples(st.just("fill"), line_addresses,
+              st.sampled_from(list(LineState)[1:]), st.booleans()),
+    st.tuples(st.just("probe"), line_addresses),
+    st.tuples(st.just("downgrade"), line_addresses, st.sampled_from(list(LineState))),
+    st.tuples(st.just("invalidate"), line_addresses),
+)
+
+
+@given(
+    st.lists(cache_operations, min_size=100, max_size=400),
+    # direct-mapped, 2-way, fully associative
+    st.sampled_from([(512, 1), (512, 2), (256, 4)]),
+)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_cache_matches_slot_oracle(operations, geometry):
+    """Dict sets return, evict and count exactly like LRU-clocked slots."""
+    size, ways = geometry
+    cache = SetAssociativeCache(CacheGeometry("c", size, ways, line_bytes=64))
+    oracle = _SlotCache(cache.geometry)
+    for name, *args in operations:
+        assert getattr(cache, name)(*args) == getattr(oracle, name)(*args), (name, args)
+        assert cache.stats == oracle.stats, (name, args)
+    assert cache.valid_line_count() == sum(bool(s[1]) for b in oracle.sets for s in b)
+
+
+@given(
+    st.lists(st.integers(0, 16 * 8192 - 1), min_size=100, max_size=400),
+    st.sampled_from([(8, 1), (8, 2), (4, 4)]),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_tlb_matches_slot_oracle(addrs, geometry):
+    entries, ways = geometry
+    tlb = Tlb(TlbGeometry("t", entries=entries, ways=ways, page_bytes=8192))
+    oracle = _SlotTlb(tlb.geometry)
+    for address in addrs:
+        assert tlb.translate(address) == oracle.translate(address), address
+        assert tlb.stats == oracle.stats
 
 
 # ---------------------------------------------------------------------------

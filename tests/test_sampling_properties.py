@@ -11,9 +11,14 @@ whether the run happens in-process or in a worker pool.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.analysis.runner import ExperimentRunner, ParallelRunner
 from repro.analysis.workloads import workload_by_name
 from repro.model.config import base_config
@@ -151,6 +156,36 @@ def test_serial_and_parallel_runs_bit_identical():
     assert _deterministic_view(serial_result) == _deterministic_view(
         parallel_result
     )
+
+
+_PAYLOAD_SCRIPT = """
+import json
+from repro.analysis.runner import ExperimentRunner
+from repro.analysis.workloads import workload_by_name
+from repro.model.config import base_config
+from repro.trace.sampling import SamplingPlan
+workload = workload_by_name("SPECint95", warm=0, timed=20_000)
+workload.sampling = SamplingPlan(period=5_000, sample_length=300, warmup=400)
+payload = ExperimentRunner().run(base_config(), workload).to_dict()
+payload.pop("sim_speed")
+print(json.dumps(payload))
+"""
+
+
+def test_payload_bytes_do_not_depend_on_hash_seed():
+    """The result store writes ``json.dumps`` without ``sort_keys``, so
+    every nested dict of a sampled payload must come out in the same
+    order in every process, whatever ``PYTHONHASHSEED`` is."""
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", _PAYLOAD_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_sampling_participates_in_cache_key():
