@@ -61,13 +61,6 @@ class Estimate:
     def half_width(self) -> float:
         return (self.hi - self.lo) / 2.0
 
-    @property
-    def relative_half_width(self) -> float:
-        """Half-width as a fraction of the mean (0 when the mean is 0)."""
-        if self.mean == 0:
-            return 0.0
-        return self.half_width / abs(self.mean)
-
     def contains(self, value: float) -> bool:
         return self.lo <= value <= self.hi
 

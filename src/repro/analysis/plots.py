@@ -11,6 +11,8 @@ import csv
 import io
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
+from repro.analysis.report import cell
+
 Number = Union[int, float]
 
 #: Glyph used for bar bodies.
@@ -121,11 +123,12 @@ def to_csv(
 
 
 def ipc_ratio_csv(result) -> str:
-    """CSV for an :class:`~repro.analysis.figures.IpcRatioResult`."""
+    """CSV for an :class:`~repro.analysis.figures.IpcRatioResult`; an
+    abandoned workload's ratio reads ``n/a``."""
     rows = [
         {
             "workload": name,
-            "ratio": round(ratio, 6),
+            "ratio": cell(ratio),
             "baseline": result.baseline_name,
             "alternative": result.alternative_name,
         }
@@ -135,15 +138,11 @@ def ipc_ratio_csv(result) -> str:
 
 
 def breakdown_csv(result) -> str:
-    """CSV for a :class:`~repro.analysis.figures.Fig07Result`."""
+    """CSV for a :class:`~repro.analysis.figures.Fig07Result`; each
+    abandoned workload gets a row of ``n/a``."""
+    columns = ["core", "branch", "ibs_tlb", "sx"]
     rows = [
-        {
-            "workload": item.trace_name,
-            "core": round(item.core, 6),
-            "branch": round(item.branch, 6),
-            "ibs_tlb": round(item.ibs_tlb, 6),
-            "sx": round(item.sx, 6),
-        }
+        {"workload": item.trace_name, **{name: cell(getattr(item, name)) for name in columns}}
         for item in result.breakdowns
-    ]
-    return to_csv(rows, ["workload", "core", "branch", "ibs_tlb", "sx"])
+    ] + [{"workload": name, **dict.fromkeys(columns, cell(None))} for name in result.missing]
+    return to_csv(rows, ["workload"] + columns)

@@ -327,10 +327,5 @@ class LoadStoreUnit:
             return None
         return max(best, cycle + 1)
 
-    def has_work(self, cycle: int) -> bool:
-        """True when :meth:`step` would find at least one candidate."""
-        best = self._refresh_pending() if self._pending_dirty else self._pending_min
-        return best <= cycle
-
     def occupancy(self) -> Tuple[int, int]:
         return len(self._loads), len(self._stores)

@@ -129,8 +129,6 @@ _CONDITIONAL_BRANCHES = frozenset(
     }
 )
 
-_CONTROL_TRANSFERS = _CONDITIONAL_BRANCHES | {Mnemonic.BA, Mnemonic.CALL, Mnemonic.RET}
-
 
 @dataclass
 class Instruction:
@@ -164,11 +162,6 @@ class Instruction:
     def is_conditional_branch(self) -> bool:
         """True for branches whose direction depends on condition codes."""
         return self.mnemonic in _CONDITIONAL_BRANCHES
-
-    @property
-    def is_control_transfer(self) -> bool:
-        """True for any instruction that may redirect the PC."""
-        return self.mnemonic in _CONTROL_TRANSFERS
 
     def __str__(self) -> str:
         parts = [self.mnemonic.name.lower()]

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import SimulationError
 from repro.memory.params import CacheGeometry
@@ -194,6 +195,37 @@ class SetAssociativeCache:
         if from_prefetch:
             self._prefetched.add(line)
         return evicted
+
+    def install_touched(self, spans: Sequence[range]) -> None:
+        """Install what demand touches of ``spans``, in order, leave resident.
+
+        Equivalent to ``if not lookup(a): fill(a)`` for every address of
+        every span on this (empty) cache, minus the statistics: each set
+        ends up holding the last ``ways`` distinct lines touched in it,
+        all EXCLUSIVE, least recently used first.  The touches are walked
+        backwards, each set keeping the first ``ways`` distinct lines it
+        sees, until every set is full; each set is then reversed into LRU
+        order.
+        """
+        if any(self._sets):
+            raise SimulationError(
+                f"{self.geometry.name}: install_touched needs an empty cache"
+            )
+        ways = self._ways
+        unfilled = len(self._sets)
+        for addr in chain.from_iterable(reversed(span) for span in reversed(spans)):
+            bucket, line = self._set_of(addr)
+            if len(bucket) < ways and line not in bucket:
+                bucket[line] = LineState.EXCLUSIVE
+                if len(bucket) == ways:
+                    unfilled -= 1
+                    if not unfilled:
+                        break
+        # One set at a time, so each replaced dict is freed before the next
+        # is built.
+        for index, bucket in enumerate(self._sets):
+            if len(bucket) > 1:
+                self._sets[index] = dict.fromkeys(reversed(bucket), LineState.EXCLUSIVE)
 
     def downgrade(self, addr: int, state: LineState) -> Optional[LineState]:
         """Change the line's state (snoop response); returns prior state.

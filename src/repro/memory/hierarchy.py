@@ -73,10 +73,6 @@ class AccessResult:
     #: Extra cycles spent on a TLB walk (0 on TLB hit).
     tlb_cycles: int = 0
 
-    @property
-    def l1_hit(self) -> bool:
-        return self.level == "l1"
-
 
 class MemoryHierarchy:
     """One processor's complete memory system."""

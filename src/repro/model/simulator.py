@@ -52,26 +52,24 @@ def build_hierarchy(config: MachineConfig, cpu: int = 0, **shared) -> MemoryHier
 def prewarm_regions(hierarchy: MemoryHierarchy, regions: dict) -> None:
     """Install steady-state residency for a workload's memory regions.
 
-    Touches every line of each region into the L2 (and data lines into
-    the L1D, code lines into the L1I), in an order that leaves the *hot*
-    sub-regions most recently used: cold spans first, ``*_hot`` spans
-    last.  This removes the first-touch transient that synthetic traces
-    would otherwise pay for the paper's steady-state workloads — after
-    pre-warming, each cache holds whatever its capacity allows.
+    The residency is that of touching every L2 line of each region into
+    the L2 (and data lines into the L1D, code lines into the L1I), in an
+    order that leaves the *hot* sub-regions most recently used: cold
+    spans first, code next, ``*_hot`` spans last.  This removes the
+    first-touch transient that synthetic traces would otherwise pay for
+    the paper's steady-state workloads — after pre-warming, each cache
+    holds whatever its capacity allows.
+
+    The touches are not replayed.  On empty caches, with every touch a
+    demand fill in EXCLUSIVE state, each set ends up holding the last
+    ``ways`` distinct lines touched in it, in LRU order, and
+    :meth:`~repro.memory.cache.SetAssociativeCache.install_touched`
+    writes exactly that down, once per cache.  The result equals a
+    ``lookup``/``fill`` per line except that no statistics are counted
+    (:func:`warm_structures` resets them anyway).  Every cache sees the
+    touches at L2-line strides, keyed by its own line size.
     """
     line = hierarchy.l2.geometry.line_bytes
-
-    def touch_span(base: int, size: int, data: bool) -> None:
-        for addr in range(base, base + size, line):
-            if not hierarchy.l2.lookup(addr):
-                hierarchy.l2.fill(addr)
-            if data:
-                if not hierarchy.l1d.lookup(addr):
-                    hierarchy.l1d.fill(addr)
-            else:
-                if not hierarchy.l1i.lookup(addr):
-                    hierarchy.l1i.fill(addr)
-
     # Touch order = reverse residency priority.  Big cold data regions go
     # first (only their tail survives in the L2), code next (code is the
     # steady-state L2 resident that OLTP I-fetch depends on), hot data
@@ -85,9 +83,13 @@ def prewarm_regions(hierarchy: MemoryHierarchy, regions: dict) -> None:
         for name in regions
         if name not in hot_names and name not in code_names
     )
+    spans = []
     for name in cold_names + code_names + hot_names:
         base, size = regions[name]
-        touch_span(base, size, data="data" in name)
+        spans.append(("data" in name, range(base, base + size, line)))
+    hierarchy.l2.install_touched([span for _, span in spans])
+    hierarchy.l1d.install_touched([span for data, span in spans if data])
+    hierarchy.l1i.install_touched([span for data, span in spans if not data])
 
 
 def warm_structures(

@@ -70,6 +70,29 @@ class TestCsv:
         text = breakdown_csv(breakdown)
         assert "workload,core,branch,ibs_tlb,sx" in text
 
+    def test_ipc_ratio_csv_marks_abandoned_points(self):
+        from repro.analysis.figures import IpcRatioResult
+
+        ratio = IpcRatioResult("t", "a", "b", {"SPECint95": 1.0, "TPC-C": None})
+        assert ipc_ratio_csv(ratio).splitlines() == [
+            "workload,ratio,baseline,alternative",
+            "SPECint95,1.0000,a,b",
+            "TPC-C,n/a,a,b",
+        ]
+
+    def test_breakdown_csv_keeps_missing_workloads(self):
+        from repro.analysis.figures import Fig07Result
+        from repro.model.perfect import StallBreakdown
+
+        breakdown = Fig07Result(
+            [StallBreakdown("SPECint95", 100, 0.5, 0.2, 0.2, 0.1)], missing=["TPC-C"]
+        )
+        assert breakdown_csv(breakdown).splitlines() == [
+            "workload,core,branch,ibs_tlb,sx",
+            "SPECint95,0.5000,0.2000,0.2000,0.1000",
+            "TPC-C,n/a,n/a,n/a,n/a",
+        ]
+
 
 class TestCompareTraces:
     def make(self, n, offset=0):

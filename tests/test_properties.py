@@ -1,15 +1,22 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+from types import SimpleNamespace
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.workloads import smp_workload, standard_workloads, workload_by_name
+from repro.common.errors import SimulationError
 from repro.common.rng import DeterministicRng
 from repro.memory.bus import Bus
 from repro.memory.cache import CacheStats, EvictedLine, LineState, SetAssociativeCache
 from repro.memory.mshr import MshrFile
 from repro.memory.params import BusParams, CacheGeometry, TlbGeometry
 from repro.memory.tlb import Tlb, TlbStats
-from repro.frontend.bht import BhtParams, BranchHistoryTable
+from repro.frontend.bht import BhtParams, BhtStats, BranchHistoryTable
+from repro.model.config import base_config
+from repro.model.simulator import build_hierarchy, prewarm_regions, warm_up
 from repro.trace.io import read_trace, write_trace
 from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
@@ -183,6 +190,123 @@ def test_tlb_matches_slot_oracle(addrs, geometry):
     for address in addrs:
         assert tlb.translate(address) == oracle.translate(address), address
         assert tlb.stats == oracle.stats
+
+
+# ---------------------------------------------------------------------------
+# Closed-form pre-warm against the per-line touch loop it replaced.
+# ---------------------------------------------------------------------------
+
+
+def _touch_loop(hierarchy, regions):
+    """Pre-warm by touching every L2 line of every region: the oracle."""
+    line = hierarchy.l2.geometry.line_bytes
+
+    def touch_span(base, size, data):
+        for addr in range(base, base + size, line):
+            if not hierarchy.l2.lookup(addr):
+                hierarchy.l2.fill(addr)
+            if data:
+                if not hierarchy.l1d.lookup(addr):
+                    hierarchy.l1d.fill(addr)
+            else:
+                if not hierarchy.l1i.lookup(addr):
+                    hierarchy.l1i.fill(addr)
+
+    hot_names = sorted(name for name in regions if name.endswith("_hot"))
+    code_names = sorted(
+        name for name in regions if "code" in name and not name.endswith("_hot")
+    )
+    cold_names = sorted(
+        name for name in regions if name not in hot_names and name not in code_names
+    )
+    for name in cold_names + code_names + hot_names:
+        base, size = regions[name]
+        touch_span(base, size, data="data" in name)
+
+
+def _assert_prewarm_matches_loop(make_hierarchy, regions):
+    closed, looped = make_hierarchy(), make_hierarchy()
+    prewarm_regions(closed, regions)
+    _touch_loop(looped, regions)
+    for level in ("l2", "l1d", "l1i"):
+        cache, oracle = getattr(closed, level), getattr(looped, level)
+        assert [list(s.items()) for s in cache._sets] == [
+            list(s.items()) for s in oracle._sets
+        ], level
+        assert not cache._prefetched
+
+
+def _assert_warm_up_zeroes_stats(config, trace, regions):
+    hierarchy = build_hierarchy(config)
+    bht = BranchHistoryTable(config.bht)
+    warm_up(hierarchy, bht, trace, 0.5, regions)
+    for cache in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2):
+        assert cache.stats == CacheStats()
+    for tlb in (hierarchy.itlb, hierarchy.dtlb):
+        assert tlb.stats == TlbStats()
+    assert bht.stats == BhtStats()
+
+
+@pytest.mark.parametrize("name", [w.name for w in standard_workloads(warm=500, timed=500)])
+def test_prewarm_matches_touch_loop_on_standard_workloads(name):
+    config = base_config()
+    workload = workload_by_name(name, warm=500, timed=500)
+    regions = workload.regions()
+    _assert_prewarm_matches_loop(lambda: build_hierarchy(config), regions)
+    _assert_warm_up_zeroes_stats(config, workload.trace(), regions)
+
+
+@pytest.fixture(scope="module")
+def tpcc_4p_traces():
+    return smp_workload(4, warm=500, timed=500).smp_traces(4)
+
+
+@pytest.mark.parametrize("cpu", range(4))
+def test_prewarm_matches_touch_loop_on_every_4p_cpu(tpcc_4p_traces, cpu):
+    config = base_config()
+    traces, regions = tpcc_4p_traces
+    _assert_prewarm_matches_loop(lambda: build_hierarchy(config, cpu=cpu), regions[cpu])
+    _assert_warm_up_zeroes_stats(config, traces[cpu], regions[cpu])
+
+
+#: Names with and without ``code``/``data``/``_hot``.
+region_names = st.sampled_from(
+    ["user_code", "user_data", "user_data_hot", "kernel_code", "kernel_data",
+     "heap", "stack_hot", "misc"]
+)
+#: Often one of three close bases (one unaligned), so regions overlap.
+region_bases = st.one_of(st.sampled_from([0, 0x800, 0x8A4]), st.integers(0, 1 << 20))
+region_spans = st.tuples(region_bases, st.integers(0, 24 * 1024))
+#: (size, ways, line): 1 to 16 sets, L1 lines of 32 B under a 64 B L2 line.
+l1_geometries = st.sampled_from(
+    [(256, 1, 64), (512, 2, 64), (256, 4, 64), (256, 1, 32), (512, 2, 32), (1024, 4, 32)]
+)
+l2_geometries = st.sampled_from([(1024, 1, 64), (2048, 2, 64), (4096, 4, 64), (512, 8, 64)])
+
+
+@given(
+    st.dictionaries(region_names, region_spans, min_size=1, max_size=6),
+    l1_geometries,
+    l1_geometries,
+    l2_geometries,
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_prewarm_matches_touch_loop_on_small_machines(regions, l1i, l1d, l2):
+    def make_hierarchy():
+        return SimpleNamespace(
+            l1i=SetAssociativeCache(CacheGeometry("l1i", l1i[0], l1i[1], line_bytes=l1i[2])),
+            l1d=SetAssociativeCache(CacheGeometry("l1d", l1d[0], l1d[1], line_bytes=l1d[2])),
+            l2=SetAssociativeCache(CacheGeometry("l2", l2[0], l2[1], line_bytes=l2[2])),
+        )
+
+    _assert_prewarm_matches_loop(make_hierarchy, regions)
+
+
+def test_install_touched_refuses_a_warm_cache():
+    cache = SetAssociativeCache(CacheGeometry("c", 1024, 2, line_bytes=64))
+    cache.fill(0x40)
+    with pytest.raises(SimulationError):
+        cache.install_touched([range(0, 256, 64)])
 
 
 # ---------------------------------------------------------------------------
