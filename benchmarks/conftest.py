@@ -28,10 +28,8 @@ WARM = int(100_000 * SCALE)
 #: Timed window per workload.
 TIMED = int(25_000 * SCALE)
 
-#: SMP configuration for the TPC-C (16P) runs of Figures 14/15.
+#: CPU count of the TPC-C SMP row of Figures 14/15.
 SMP_CPUS = int(os.environ.get("REPRO_BENCH_SMP_CPUS", "16"))
-SMP_WARM = int(20_000 * SCALE)
-SMP_TIMED = int(6_000 * SCALE)
 
 
 @pytest.fixture(scope="session")

@@ -3,16 +3,15 @@
 Each function runs the necessary (configuration × workload) matrix on an
 :class:`~repro.analysis.runner.ExperimentRunner` and returns a result
 object carrying both the raw numbers and a ``format_table()`` renderer
-that prints the same series the paper plots.
-
-Paper-reported values to compare shapes against are embedded as
-``PAPER_*`` constants where the text states them.
+that prints the same series the paper plots.  :data:`FIGURES` names them
+as ``repro figures`` does; the paper's statements about each are graded
+by :mod:`repro.analysis.claims`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.report import cell, format_table, partial_note, percent
 from repro.analysis.runner import ExperimentRunner
@@ -20,7 +19,6 @@ from repro.analysis.workloads import (
     Workload,
     smp_workload,
     standard_workloads,
-    tpcc_workload,
 )
 from repro.model.config import (
     MachineConfig,
@@ -40,20 +38,6 @@ from repro.model.perfect import (
 )
 from repro.model.stats import SimResult, ipc_ratio
 from repro.observe.cpistack import render_stack_table
-
-#: Paper statements used for shape checks (values from §4 text).
-PAPER_FIG7_TPCC_SX = 0.35  # TPC-C spends 35% of time on L2-miss stalls
-PAPER_FIG7_SPECINT95_BRANCH = 0.30  # SPECint95: 30% on branch stalls
-PAPER_FIG7_SPECFP95_CORE = 0.74  # SPECfp95: 74% core execution
-PAPER_FIG9_TPCC_IPC_DROP = 0.056  # 4k-2w.1t loses 5.6% IPC on TPC-C
-PAPER_FIG10_TPCC_MISPREDICT_INCREASE = 0.60  # +60% failures with 4k BHT
-PAPER_FIG11_TPCC_IPC_DROP = 0.020  # 32k-1w.3c loses 2.0% IPC on TPC-C
-PAPER_FIG12_TPCC_IMISS_INCREASE = 0.99  # +99% I-miss with 32 KB L1
-PAPER_FIG13_TPCC_DMISS_INCREASE = 0.64  # +64% D-miss with 32 KB L1
-PAPER_FIG14_TPCC_UP_DROP_8M1W = 0.14  # off.8m-1w loses 14% on TPC-C UP
-PAPER_FIG14_TPCC_16P_DROP_8M1W = 0.124  # and 12.4% on TPC-C 16P
-PAPER_FIG16_SPECFP_GAIN = 0.13  # prefetch gains >13% IPC on SPECfp
-
 
 # ---------------------------------------------------------------------------
 # Shared table shapes; a point abandoned by the failure policy is ``n/a``.
@@ -448,14 +432,23 @@ class L2StudyResult:
         )
 
 
+#: Per-CPU trace caps for the TPC-C SMP rows of Figures 14/15, which
+#: run one trace per CPU and so stay tractable only with shorter ones.
+SMP_WARM_CAP = 20_000
+SMP_TIMED_CAP = 6_000
+
+
 def fig14_15_l2(
     workloads: Optional[List[Workload]] = None,
     runner: Optional[ExperimentRunner] = None,
     smp_cpus: int = 16,
-    include_smp: bool = True,
     smp_workload_override: Optional[Workload] = None,
 ) -> L2StudyResult:
-    """Figures 14/15: on-chip 2 MB vs off-chip 8 MB L2 (+TPC-C SMP)."""
+    """Figures 14/15: on-chip 2 MB vs off-chip 8 MB L2 (+TPC-C SMP).
+
+    The SMP row's per-CPU traces are the uniprocessor lengths capped at
+    :data:`SMP_WARM_CAP` / :data:`SMP_TIMED_CAP`, unless overridden.
+    """
     workloads = workloads or standard_workloads()
     runner = runner or ExperimentRunner()
     configs = {
@@ -463,14 +456,14 @@ def fig14_15_l2(
         "off.8m-2w": l2_off_8m_2w(),
         "off.8m-1w": l2_off_8m_1w(),
     }
-    smp = smp_workload_override or smp_workload(smp_cpus)
+    smp = smp_workload_override or smp_workload(
+        smp_cpus,
+        warm=min(workloads[0].warm_instructions, SMP_WARM_CAP),
+        timed=min(workloads[0].timed_instructions, SMP_TIMED_CAP),
+    )
     runner.prefetch(
         up=[(config, w) for config in configs.values() for w in workloads],
-        smp=(
-            [(config, smp, smp_cpus) for config in configs.values()]
-            if include_smp
-            else []
-        ),
+        smp=[(config, smp, smp_cpus) for config in configs.values()],
     )
     ipc_ratios: Dict[str, Dict[str, Optional[float]]] = {}
     miss_ratios: Dict[str, Dict[str, Optional[float]]] = {}
@@ -493,15 +486,11 @@ def fig14_15_l2(
             {label: runner.try_run(c, workload) for label, c in configs.items()},
             lambda result: result.miss_ratio("l2"),
         )
-    if include_smp:
-        tabulate(
-            smp.name,
-            {
-                label: runner.try_run_smp(c, smp, smp_cpus)
-                for label, c in configs.items()
-            },
-            lambda result: result.l2_miss_ratio(),
-        )
+    tabulate(
+        smp.name,
+        {label: runner.try_run_smp(c, smp, smp_cpus) for label, c in configs.items()},
+        lambda result: result.l2_miss_ratio(),
+    )
     return L2StudyResult(ipc_ratios=ipc_ratios, miss_ratios=miss_ratios)
 
 
@@ -586,3 +575,34 @@ def fig18_reservation(
         workloads,
         runner,
     )
+
+
+# ---------------------------------------------------------------------------
+# The figure registry ``repro figures``, the claims ledger and the figure
+# benchmarks share.
+# ---------------------------------------------------------------------------
+
+#: Figure key (as ``repro figures`` takes it) -> reproduction function.
+FIGURES: Dict[str, Callable[..., Any]] = {
+    "7": fig07_characteristics,
+    "8": fig08_issue_width,
+    "9": fig09_10_bht,
+    "11": fig11_12_13_l1,
+    "14": fig14_15_l2,
+    "16": fig16_17_prefetch,
+    "18": fig18_reservation,
+    "cpistack": fig_cpistack,
+}
+
+
+def run_figure(
+    key: str,
+    workloads: List[Workload],
+    runner: ExperimentRunner,
+    smp_cpus: int = 16,
+) -> Any:
+    """Run figure ``key`` of :data:`FIGURES`; ``smp_cpus`` sizes Fig. 14's
+    TPC-C SMP row."""
+    if key == "14":
+        return fig14_15_l2(workloads, runner, smp_cpus=smp_cpus)
+    return FIGURES[key](workloads, runner=runner)

@@ -4,7 +4,8 @@ Commands:
 
 - ``table1`` — print the production machine configuration.
 - ``run`` — simulate one workload on one configuration.
-- ``figures`` — regenerate one or all of the paper's figures
+- ``figures`` — regenerate one or all of the paper's figures and grade
+  the paper's claims about them, exiting 1 when a claim fails
   (``--jobs N`` fans independent runs over worker processes; results
   persist in ``.repro_cache/``).
 - ``sweeps`` — run the supplemental parameter sweeps (same knobs).
@@ -289,58 +290,39 @@ def _add_runner_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_figures(args: argparse.Namespace) -> None:
-    from repro.analysis import (
-        fig_cpistack,
-        fig07_characteristics,
-        fig08_issue_width,
-        fig09_10_bht,
-        fig11_12_13_l1,
-        fig14_15_l2,
-        fig16_17_prefetch,
-        fig18_reservation,
-        smp_workload,
-        standard_workloads,
-    )
+    from repro.analysis import standard_workloads
+    from repro.analysis.claims import format_verdicts, grade_figure, tally
+    from repro.analysis.figures import FIGURES, run_figure
 
+    if args.figure != "all" and args.figure not in FIGURES:
+        raise SystemExit(
+            f"unknown figure {args.figure!r}; choose from: "
+            f"{', '.join(FIGURES)} or 'all'"
+        )
     workloads = standard_workloads(warm=args.warm, timed=args.timed)
     plan = _sampling_plan(args)
     if plan is not None:
         for workload in workloads:
             workload.sampling = plan
     runner = _make_runner(args)
-    figure_map = {
-        "7": lambda: fig07_characteristics(workloads, runner=runner),
-        "8": lambda: fig08_issue_width(workloads, runner),
-        "9": lambda: fig09_10_bht(workloads, runner),
-        "11": lambda: fig11_12_13_l1(workloads, runner),
-        "14": lambda: fig14_15_l2(
-            workloads,
-            runner,
-            smp_cpus=args.smp_cpus,
-            # SMP runs use shorter per-CPU traces to stay tractable.
-            smp_workload_override=smp_workload(
-                args.smp_cpus,
-                warm=min(args.warm, 20_000),
-                timed=min(args.timed, 6_000),
-            ),
-        ),
-        "16": lambda: fig16_17_prefetch(workloads, runner),
-        "18": lambda: fig18_reservation(workloads, runner),
-        "cpistack": lambda: fig_cpistack(workloads, runner=runner),
-    }
-    wanted = figure_map.keys() if args.figure == "all" else [args.figure]
-    for key in wanted:
-        if key not in figure_map:
-            raise SystemExit(
-                f"unknown figure {key!r}; choose from: "
-                f"{', '.join(figure_map)} or 'all'"
-            )
-        result = figure_map[key]()
+    verdicts = []
+    for key in FIGURES if args.figure == "all" else [args.figure]:
+        result = run_figure(key, workloads, runner, args.smp_cpus)
         print()
         print(result.format_table())
+        graded = grade_figure(key, result)
+        if graded:
+            print()
+            print(format_verdicts(graded))
+        verdicts += graded
     if not args.quiet:
         print()
         print(f"runner: {runner.summary()}")
+    print()
+    print(f"claims: {tally(verdicts)}")
+    gating = [v.claim.id for v in verdicts if v.gates]
+    if gating:
+        raise SystemExit(f"claims failing the gate: {', '.join(gating)}")
 
 
 def _cmd_sweeps(args: argparse.Namespace) -> None:
@@ -635,7 +617,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="also dump raw pstats data to PATH")
     p_profile.set_defaults(func=_cmd_profile)
 
-    p_fig = sub.add_parser("figures", help="regenerate paper figures")
+    p_fig = sub.add_parser(
+        "figures", help="regenerate paper figures and grade their claims"
+    )
     p_fig.add_argument("figure", nargs="?", default="all",
                        help="7, 8, 9, 11, 14, 16, 18, cpistack, or 'all'")
     p_fig.add_argument("--warm", type=int, default=100_000)

@@ -95,8 +95,6 @@ class MemoryHierarchy:
         perfect_l2: bool = False,
         perfect_tlb: bool = False,
     ) -> None:
-        if l1i.line_bytes != l2.line_bytes or l1d.line_bytes != l2.line_bytes:
-            raise ConfigError("L1/L2 line sizes must match")
         self.cpu = cpu
         self.l1i = SetAssociativeCache(l1i)
         self.l1d = SetAssociativeCache(l1d)

@@ -117,10 +117,11 @@ class MachineConfig:
             raise ConfigError(f"{self.name}: {message}")
 
         for l1 in (self.l1i, self.l1d):
-            if self.l2.line_bytes % l1.line_bytes != 0:
+            if self.l2.line_bytes != l1.line_bytes:
                 reject(
-                    f"L2 line ({self.l2.line_bytes} B) must be a multiple of "
-                    f"{l1.name} line ({l1.line_bytes} B): refills would tear lines"
+                    f"L2 line ({self.l2.line_bytes} B) must equal the "
+                    f"{l1.name} line ({l1.line_bytes} B): the hierarchy moves "
+                    f"whole lines between levels"
                 )
             if self.l2.size_bytes < l1.size_bytes:
                 reject(

@@ -62,6 +62,35 @@ class TestParser:
         assert "trace-instructions/s" in out
 
 
+class TestFiguresGate:
+    """``repro figures`` grades each figure's claims and exits 1 on a FAIL;
+    the figure itself is stubbed with a hand-built Figure 18 result."""
+
+    def _figure18(self, monkeypatch, tmp_path, ratio):
+        from repro.analysis import figures
+
+        result = figures.IpcRatioResult(
+            "Figure 18", "1RS", "2RS", {"SPECint95": 0.95, "TPC-C": ratio}
+        )
+        monkeypatch.setattr(figures, "run_figure", lambda *args: result)
+        main(["figures", "18", "--quiet", "--cache-dir", str(tmp_path)])
+
+    def test_passing_claims_exit_zero(self, monkeypatch, tmp_path, capsys):
+        self._figure18(monkeypatch, tmp_path, 0.99)
+        out = capsys.readouterr().out
+        assert "fig18.2rs-not-faster" in out
+        assert "claims: 2 PASS, 0 WEAK, 0 FAIL" in out
+
+    def test_failed_claim_exits_nonzero(self, monkeypatch, tmp_path, capsys):
+        with pytest.raises(SystemExit, match="fig18.2rs-not-faster"):
+            self._figure18(monkeypatch, tmp_path, 1.05)
+        assert "claims: 1 PASS, 0 WEAK, 1 FAIL" in capsys.readouterr().out
+
+    def test_unknown_figure_rejected(self):
+        with pytest.raises(SystemExit, match="unknown figure '10'"):
+            main(["figures", "10"])
+
+
 class TestServiceCommands:
     def test_submit_serve_status_roundtrip(self, tmp_path, capsys):
         queue = str(tmp_path / "q.jsonl")

@@ -149,12 +149,15 @@ class TestValidation:
             factory()  # __post_init__ runs validate(); must not raise
 
     def test_l2_line_must_cover_l1_line(self):
+        # Wider or narrower, an L1 line that differs from the L2 line is
+        # rejected here, before build_hierarchy could be reached.
         base = base_config()
-        with pytest.raises(ConfigError, match="broken-lines.*multiple"):
-            base.derived(
-                "broken-lines",
-                l1d=base.l1d.scaled(name="L1D-wide", line_bytes=128),
-            )
+        for l1_line in (128, 32):
+            with pytest.raises(ConfigError, match="broken-lines.*must equal"):
+                base.derived(
+                    "broken-lines",
+                    l1d=base.l1d.scaled(name="L1D-odd", line_bytes=l1_line),
+                )
 
     def test_l2_must_be_at_least_l1_sized(self):
         base = base_config()
