@@ -179,19 +179,14 @@ def _cmd_profile(args: argparse.Namespace) -> None:
 
     from repro.analysis.workloads import workload_by_name
     from repro.core.pipeline import ProcessorCore
-    from repro.frontend.bht import BranchHistoryTable
-    from repro.model.simulator import build_hierarchy, warm_up
+    from repro.model.simulator import build_cpu
 
     workload = workload_by_name(args.workload, warm=args.warm, timed=args.timed)
     config = _config_by_name(args.config)
-    hierarchy = build_hierarchy(config)
-    bht = BranchHistoryTable(config.bht)
-    timed_part = warm_up(
-        hierarchy, bht, workload.trace(), workload.warmup_fraction, workload.regions()
+    hierarchy, bht, timed_part = build_cpu(
+        config, workload.trace(), workload.warmup_fraction, workload.regions()
     )
-    core = ProcessorCore(
-        timed_part, hierarchy, config.core, config.frontend, config.bht, bht=bht
-    )
+    core = ProcessorCore(timed_part, hierarchy, config.core, config.frontend, bht)
 
     print(
         f"profiling {workload.name} ({len(timed_part):,} timed instructions) "
@@ -411,7 +406,7 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
     if not stacks:
         raise SystemExit(
             f"no cached CPI stacks under {cache.directory} "
-            "(populate with 'repro figures' or 'repro run' via the runner, "
+            "(populate with 'repro figures' or 'repro sweeps', "
             "or relax --workload/--config filters)"
         )
     print(f"{len(stacks)} cached run(s) from {cache.directory}:")
@@ -458,18 +453,12 @@ def _cmd_verify(args: argparse.Namespace) -> None:
 
 
 def _cmd_smp(args: argparse.Namespace) -> None:
+    from repro.analysis.runner import simulate
     from repro.analysis.workloads import smp_workload
-    from repro.smp.system import run_smp
 
     workload = smp_workload(args.cpus, seed=args.seed, warm=args.warm, timed=args.timed)
-    traces, regions = workload.smp_traces(args.cpus)
     print(f"simulating {workload.name} ...")
-    result = run_smp(
-        _config_by_name(args.config),
-        traces,
-        warmup_fraction=workload.warmup_fraction,
-        regions_per_cpu=regions,
-    )
+    result = simulate(_config_by_name(args.config), workload, args.cpus)
     for key, value in result.as_dict().items():
         print(f"{key:24s} {value}")
 

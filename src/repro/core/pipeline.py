@@ -51,7 +51,7 @@ from repro.core.params import CoreParams, RsOrganization
 from repro.core.rename import RenameTracker
 from repro.core.reservation import ReservationStation, StationGroup
 from repro.core.uop import FAR_FUTURE, Uop, UopState
-from repro.frontend.bht import BhtParams, BranchHistoryTable
+from repro.frontend.bht import BranchHistoryTable
 from repro.frontend.fetch import FetchedInstruction, FetchUnit, FrontEndParams
 from repro.isa.opcodes import OpClass, uses_rsa, uses_rsbr, uses_rse, uses_rsf
 from repro.memory.hierarchy import MemoryHierarchy
@@ -244,12 +244,11 @@ class ProcessorCore:
         hierarchy: MemoryHierarchy,
         core_params: CoreParams,
         frontend_params: FrontEndParams,
-        bht_params: BhtParams,
-        bht: Optional[BranchHistoryTable] = None,
+        bht: BranchHistoryTable,
     ) -> None:
         self.params = core_params
         self.hierarchy = hierarchy
-        self.fetch = FetchUnit(trace, hierarchy, bht_params, frontend_params, bht=bht)
+        self.fetch = FetchUnit(trace, hierarchy, bht, frontend_params)
         self.lsu = LoadStoreUnit(core_params, hierarchy)
         self.rename = RenameTracker(core_params.int_rename, core_params.fp_rename)
         self._build_stations(core_params)
@@ -460,7 +459,7 @@ class ProcessorCore:
                 "misses": hierarchy.dtlb.stats.misses,
             },
             "l1_l2_bus_busy": hierarchy.l1_l2_bus.busy_cycles,
-            "system_bus_busy": hierarchy.system_bus.busy_cycles,
+            "system_bus_busy": hierarchy.domain.system_bus.busy_cycles,
             "prefetches_issued": hierarchy.prefetcher.stats.issued,
         }
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Deque, List, Optional
 
 from repro.common.errors import ConfigError
-from repro.frontend.bht import BhtParams, BranchHistoryTable
+from repro.frontend.bht import BranchHistoryTable
 from repro.frontend.ras import ReturnAddressStack
 from repro.isa.opcodes import OpClass
 from repro.memory.hierarchy import MemoryHierarchy
@@ -88,14 +88,13 @@ class FetchUnit:
         self,
         trace: Trace,
         hierarchy: MemoryHierarchy,
-        bht_params: BhtParams,
+        bht: BranchHistoryTable,
         params: FrontEndParams,
-        bht: Optional[BranchHistoryTable] = None,
     ) -> None:
         self.params = params
-        #: ``bht`` lets sampled simulation share one persistent predictor
-        #: across per-window cores; by default each core gets its own.
-        self.bht = bht if bht is not None else BranchHistoryTable(bht_params)
+        #: Handed in, not built here: it is warmed before the core exists,
+        #: and sampled simulation shares one across per-window cores.
+        self.bht = bht
         self.ras = ReturnAddressStack(params.ras_depth)
         self._hierarchy = hierarchy
         self._records = trace.records

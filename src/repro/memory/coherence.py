@@ -1,7 +1,12 @@
-"""Bus-snooping coherence between per-chip L2 caches.
+"""The coherence domain: bus snooping between per-chip L2 caches.
 
-Implements the MOESI-style protocol the SPARC64 V system uses between
-chips.  All processors' L2s snoop a shared system bus:
+Every :class:`~repro.memory.hierarchy.MemoryHierarchy` belongs to one
+domain, which owns the shared back end, the system bus and the memory
+controller, and resolves every L2 miss.  A uniprocessor is a domain of
+one CPU: its misses find no remote copy and go to memory.
+
+The domain implements the MOESI-style protocol the SPARC64 V system
+uses between chips.  All processors' L2s snoop the shared system bus:
 
 - a read miss that another chip holds MODIFIED/OWNED is served
   cache-to-cache (a "move-out" of the dirty line, §3.3); the owner
@@ -20,14 +25,28 @@ the two-level-hierarchy argument of §3.3 turns on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict
 
-from repro.common.errors import SimulationError
+from repro.common.errors import ConfigError, SimulationError
 from repro.memory.bus import Bus
 from repro.memory.cache import LineState
 from repro.memory.dram import MemoryController
-from repro.memory.hierarchy import MemoryHierarchy, RemoteResult
+from repro.memory.params import BusParams, MemoryParams
+
+if TYPE_CHECKING:
+    from repro.memory.hierarchy import MemoryHierarchy
+
+
+@dataclass
+class RemoteResult:
+    """Outcome of a coherence-domain line fetch."""
+
+    ready_cycle: int
+    #: True when another L2 supplied the line (move-out), else memory.
+    from_cache: bool
+    #: Install state for the requester.
+    state: LineState
 
 
 @dataclass
@@ -61,26 +80,43 @@ class CoherenceDomain:
 
     def __init__(
         self,
-        system_bus: Bus,
-        memory: MemoryController,
+        system_bus: BusParams,
+        memory: MemoryParams,
         line_bytes: int = 64,
     ) -> None:
-        self.system_bus = system_bus
-        self.memory = memory
+        self.system_bus = Bus(system_bus)
+        self.memory = MemoryController(memory, line_bytes=line_bytes)
         self.line_bytes = line_bytes
-        self._hierarchies: List[MemoryHierarchy] = []
+        self._hierarchies: Dict[int, "MemoryHierarchy"] = {}
         self.stats = CoherenceStats()
 
-    def attach(self, hierarchy: MemoryHierarchy) -> None:
+    def attach(self, hierarchy: "MemoryHierarchy") -> None:
         """Register one processor's hierarchy with the domain."""
-        if hierarchy.cpu in {h.cpu for h in self._hierarchies}:
+        if hierarchy.cpu in self._hierarchies:
             raise SimulationError(f"duplicate cpu id {hierarchy.cpu}")
-        self._hierarchies.append(hierarchy)
-        hierarchy.coherence = self
+        self._hierarchies[hierarchy.cpu] = hierarchy
+
+    def reset_timing(self) -> None:
+        """Forget the bus and memory reservations (sampled simulation).
+
+        Only a one-CPU domain may rewind: with more CPUs the bus and the
+        memory controller are shared with other cores mid-flight.
+        """
+        if len(self._hierarchies) > 1:
+            raise ConfigError(
+                f"cannot reset timing in a coherence domain of "
+                f"{len(self._hierarchies)} CPUs"
+            )
+        self.system_bus.reset()
+        self.memory.reset()
 
     # ------------------------------------------------------------------
-    # CoherenceProtocolHook interface (called from MemoryHierarchy).
+    # Requests from the hierarchies.
     # ------------------------------------------------------------------
+
+    def write_back(self, cycle: int) -> None:
+        """A dirty L2 victim goes back to memory over the system bus."""
+        self.system_bus.transfer(cycle, self.line_bytes)
 
     def fetch_line(
         self, cycle: int, cpu: int, line_addr: int, is_write: bool
@@ -94,9 +130,9 @@ class CoherenceDomain:
         # Command broadcast: every chip snoops the address.
         request = self.system_bus.transfer(cycle, 8)
 
-        owner: MemoryHierarchy = None  # type: ignore[assignment]
-        sharers: List[MemoryHierarchy] = []
-        for hierarchy in self._hierarchies:
+        owner = None
+        sharers = []
+        for hierarchy in self._hierarchies.values():
             if hierarchy.cpu == cpu:
                 continue
             state = hierarchy.snoop_probe(line_addr)
@@ -148,7 +184,7 @@ class CoherenceDomain:
         """Write to a locally SHARED line: invalidate remote copies."""
         self.stats.upgrades += 1
         request = self.system_bus.transfer(cycle, 8)
-        for hierarchy in self._hierarchies:
+        for hierarchy in self._hierarchies.values():
             if hierarchy.cpu == cpu:
                 continue
             if hierarchy.snoop_probe(line_addr) is not None:

@@ -1,12 +1,11 @@
-"""The two-level cache hierarchy with its buses and memory back end.
+"""One processor's two-level cache hierarchy.
 
 This composes the component models into the SPARC64 V's memory system
 (§3.3, §3.4): split 128 KB 2-way L1 caches (the operand side banked
 8 × 4 B), a unified 2 MB 4-way on-chip L2, hardware prefetch into the L2,
-ITLB/DTLB, an L1↔L2 interface, a system bus, and a multi-channel memory
-controller.  Off-chip L2 configurations (§4.3.4) are expressed purely
-through the L1↔L2 interface parameters (+10 ns ≈ 13 cycles, fewer pins ⇒
-narrower data path).
+ITLB/DTLB and an L1↔L2 interface.  Off-chip L2 configurations (§4.3.4)
+are expressed purely through the L1↔L2 interface parameters (+10 ns ≈
+13 cycles, fewer pins ⇒ narrower data path).
 
 Timing discipline: the tag arrays are updated at request time, while data
 readiness is tracked by MSHR entries — the standard non-blocking-cache
@@ -14,52 +13,25 @@ approximation.  Requests to in-flight lines coalesce onto the existing
 MSHR.  Buses and memory channels are busy-until resources, so bandwidth
 saturation and queueing show up as real cycles.
 
-For SMP operation a :attr:`coherence` object (see :mod:`repro.smp`) is
-attached; L2 misses and write-upgrades are then routed through the
-coherence domain, which may satisfy them by cache-to-cache "move-out"
-transfers from another processor's L2.
+Every hierarchy belongs to a :class:`~repro.memory.coherence.CoherenceDomain`,
+which owns the system bus and the memory controller.  L2 misses and
+write-upgrades go through the domain, which may satisfy them by
+cache-to-cache "move-out" transfers from another processor's L2; a
+uniprocessor is a domain of one, whose misses always go to memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Protocol
+from typing import Dict, Optional
 
-from repro.common.errors import ConfigError
 from repro.memory.bus import Bus
 from repro.memory.cache import LineState, SetAssociativeCache
-from repro.memory.dram import MemoryController
+from repro.memory.coherence import CoherenceDomain
 from repro.memory.mshr import MshrFile
-from repro.memory.params import (
-    BusParams,
-    CacheGeometry,
-    MemoryParams,
-    PrefetchParams,
-    TlbGeometry,
-)
+from repro.memory.params import BusParams, CacheGeometry, PrefetchParams, TlbGeometry
 from repro.memory.prefetch import PrefetchEngine
 from repro.memory.tlb import Tlb
-
-
-class CoherenceProtocolHook(Protocol):
-    """Interface the SMP coherence domain presents to each hierarchy."""
-
-    def fetch_line(self, cycle: int, cpu: int, line_addr: int, is_write: bool) -> "RemoteResult":
-        """Resolve an L2 miss through the coherence domain."""
-
-    def upgrade_line(self, cycle: int, cpu: int, line_addr: int) -> int:
-        """Invalidate other copies for a write to a SHARED line; ready cycle."""
-
-
-@dataclass
-class RemoteResult:
-    """Outcome of a coherence-domain line fetch."""
-
-    ready_cycle: int
-    #: True when another L2 supplied the line (move-out), else memory.
-    from_cache: bool
-    #: Install state for the requester.
-    state: LineState
 
 
 @dataclass
@@ -85,12 +57,9 @@ class MemoryHierarchy:
         itlb: TlbGeometry,
         dtlb: TlbGeometry,
         l1_l2_bus: BusParams,
-        system_bus: BusParams,
-        memory: MemoryParams,
         prefetch: PrefetchParams,
+        domain: CoherenceDomain,
         cpu: int = 0,
-        shared_system_bus: Optional[Bus] = None,
-        shared_memory: Optional[MemoryController] = None,
         perfect_l1: bool = False,
         perfect_l2: bool = False,
         perfect_tlb: bool = False,
@@ -105,16 +74,11 @@ class MemoryHierarchy:
         self.l1d_mshr = MshrFile(l1d.mshr_count)
         self.l2_mshr = MshrFile(l2.mshr_count)
         self.l1_l2_bus = Bus(l1_l2_bus)
-        #: The system bus may be shared across CPUs in an SMP system.
-        self.system_bus = shared_system_bus if shared_system_bus is not None else Bus(system_bus)
-        self.memory = (
-            shared_memory
-            if shared_memory is not None
-            else MemoryController(memory, line_bytes=l2.line_bytes)
-        )
         self.prefetcher = PrefetchEngine(prefetch, line_bytes=l2.line_bytes)
-        #: SMP hook; None for uniprocessor operation.
-        self.coherence: Optional[CoherenceProtocolHook] = None
+        #: The coherence domain this processor's L2 snoops in; it owns the
+        #: system bus and memory controller.
+        self.domain = domain
+        domain.attach(self)
         self._line_bytes = l2.line_bytes
         # Attribution of in-flight L1 misses ("l2"/"remote"/"mem").
         self._pending_level: Dict[int, str] = {}
@@ -238,17 +202,14 @@ class MemoryHierarchy:
         fills, bus occupancy and memory-channel reservations are
         timestamps against the previous window's timeline and must be
         dropped, or they would stall the new window for its whole life.
-        Not supported on SMP hierarchies, where the system bus and
-        memory controller are shared with other cores mid-flight.
+        Only a hierarchy alone in its coherence domain can rewind (see
+        :meth:`CoherenceDomain.reset_timing`).
         """
-        if self.coherence is not None:
-            raise ConfigError("cannot reset timing on a coherent (SMP) hierarchy")
+        self.domain.reset_timing()
         self.l1i_mshr.clear()
         self.l1d_mshr.clear()
         self.l2_mshr.clear()
         self.l1_l2_bus.reset()
-        self.system_bus.reset()
-        self.memory.reset()
         self._pending_level.clear()
 
     # ------------------------------------------------------------------
@@ -312,7 +273,7 @@ class MemoryHierarchy:
             elif not self.perfect_l2:
                 l2_victim = self.l2.fill(evicted.line_addr, state=LineState.MODIFIED)
                 if l2_victim is not None and l2_victim.dirty:
-                    self.system_bus.transfer(issue_cycle, self._line_bytes)
+                    self.domain.write_back(issue_cycle)
 
         mshr.allocate(line, ready, issue_cycle)
         self._pending_level[line] = l2_result.level
@@ -364,26 +325,15 @@ class MemoryHierarchy:
             issue_cycle = max(issue_cycle, self.l2_mshr.next_free_cycle())
             self.l2_mshr.can_allocate(issue_cycle)
 
-        if self.coherence is not None:
-            remote = self.coherence.fetch_line(issue_cycle, self.cpu, line, is_write)
-            ready = remote.ready_cycle
-            level = "remote" if remote.from_cache else "mem"
-            install_state = remote.state
-        else:
-            request = self.system_bus.transfer(issue_cycle, 8)  # command packet
-            data_ready = self.memory.request(request.done, line)
-            data = self.system_bus.transfer(data_ready, self._line_bytes)
-            ready = data.done
-            level = "mem"
-            install_state = LineState.MODIFIED if is_write else LineState.EXCLUSIVE
-
-        evicted = self.l2.fill(line, state=install_state, from_prefetch=not demand)
+        remote = self.domain.fetch_line(issue_cycle, self.cpu, line, is_write)
+        level = "remote" if remote.from_cache else "mem"
+        evicted = self.l2.fill(line, state=remote.state, from_prefetch=not demand)
         if evicted is not None and evicted.dirty:
-            self.system_bus.transfer(issue_cycle, self._line_bytes)
+            self.domain.write_back(issue_cycle)
 
-        self.l2_mshr.allocate(line, ready, issue_cycle)
+        self.l2_mshr.allocate(line, remote.ready_cycle, issue_cycle)
         self._pending_level[-line] = level
-        return AccessResult(ready_cycle=ready, level=level)
+        return AccessResult(ready_cycle=remote.ready_cycle, level=level)
 
     def _issue_prefetch(self, cycle: int, line_addr: int) -> None:
         """Prefetch one line into the L2 (never into the L1)."""
@@ -401,8 +351,8 @@ class MemoryHierarchy:
         state = self.l2.probe(line)
         if state is None:
             return
-        if state in (LineState.SHARED, LineState.OWNED) and self.coherence is not None:
-            self.coherence.upgrade_line(cycle, self.cpu, line)
+        if state in (LineState.SHARED, LineState.OWNED):
+            self.domain.upgrade_line(cycle, self.cpu, line)
         self.l2.downgrade(line, LineState.MODIFIED)
 
     # ------------------------------------------------------------------

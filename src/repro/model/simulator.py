@@ -10,18 +10,20 @@ Synthetic traces start cold; :func:`warm_up` therefore pre-warms the
 workload's memory regions and *functionally* warms the caches, TLBs and
 BHT on a leading fraction of the trace (touching tags without timing),
 and the timed simulation runs on the remainder.  The timed region never
-sees its own future.  Uniprocessor, sampled, SMP and ``repro profile``
-runs all warm through this one function.
+sees its own future.  Every CPU of every run — uniprocessor, sampled,
+SMP, logic simulator and ``repro profile`` — is built and warmed by
+:func:`build_cpu`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.common.errors import ConfigError
 from repro.core.pipeline import ProcessorCore, functional_warm, sum_snapshots
 from repro.frontend.bht import BranchHistoryTable
+from repro.memory.coherence import CoherenceDomain
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.model.config import MachineConfig
 from repro.model.stats import SampledSimResult, SimResult
@@ -29,8 +31,19 @@ from repro.trace.sampling import SamplingPlan
 from repro.trace.stream import Trace
 
 
-def build_hierarchy(config: MachineConfig, cpu: int = 0, **shared) -> MemoryHierarchy:
-    """Construct the memory hierarchy described by ``config``."""
+def build_hierarchy(
+    config: MachineConfig, domain: Optional[CoherenceDomain] = None, cpu: int = 0
+) -> MemoryHierarchy:
+    """Construct CPU ``cpu``'s memory hierarchy, joined to ``domain``.
+
+    Without a ``domain`` the hierarchy gets a coherence domain of its
+    own, with the system bus and memory controller ``config`` describes:
+    a uniprocessor.
+    """
+    if domain is None:
+        domain = CoherenceDomain(
+            config.system_bus, config.memory, line_bytes=config.l2.line_bytes
+        )
     return MemoryHierarchy(
         l1i=config.l1i,
         l1d=config.l1d,
@@ -38,14 +51,12 @@ def build_hierarchy(config: MachineConfig, cpu: int = 0, **shared) -> MemoryHier
         itlb=config.itlb,
         dtlb=config.dtlb,
         l1_l2_bus=config.l1_l2_bus,
-        system_bus=config.system_bus,
-        memory=config.memory,
         prefetch=config.prefetch,
+        domain=domain,
         cpu=cpu,
         perfect_l1=config.perfect_l1,
         perfect_l2=config.perfect_l2,
         perfect_tlb=config.perfect_tlb,
-        **shared,
     )
 
 
@@ -143,6 +154,29 @@ def warm_up(
     return trace[split:] if split else trace
 
 
+def build_cpu(
+    config: MachineConfig,
+    trace: Trace,
+    warmup_fraction: float = 0.0,
+    regions: Optional[dict] = None,
+    domain: Optional[CoherenceDomain] = None,
+    cpu: int = 0,
+) -> Tuple[MemoryHierarchy, BranchHistoryTable, Trace]:
+    """Build and warm one CPU; return its hierarchy, BHT and timed trace.
+
+    The one place a CPU's state is made: :func:`build_hierarchy` joins
+    ``domain`` (a one-CPU domain of its own by default), the BHT is
+    built from ``config.bht``, and :func:`warm_up` warms both.  Every
+    run builds its CPUs here — uniprocessor, sampled, each SMP CPU, the
+    logic simulator and ``repro profile`` — and hands the hierarchy and
+    BHT to the :class:`~repro.core.pipeline.ProcessorCore` it times.
+    """
+    hierarchy = build_hierarchy(config, domain, cpu)
+    bht = BranchHistoryTable(config.bht)
+    timed = warm_up(hierarchy, bht, trace, warmup_fraction, regions)
+    return hierarchy, bht, timed
+
+
 class PerformanceModel:
     """Configurable trace-driven uniprocessor simulator.
 
@@ -169,12 +203,8 @@ class PerformanceModel:
         pipeline event capture for the timed region.
         """
         config = self.config
-        hierarchy = build_hierarchy(config)
-        bht = BranchHistoryTable(config.bht)
-        timed_part = warm_up(hierarchy, bht, trace, warmup_fraction, regions)
-        core = ProcessorCore(
-            timed_part, hierarchy, config.core, config.frontend, config.bht, bht=bht
-        )
+        hierarchy, bht, timed_part = build_cpu(config, trace, warmup_fraction, regions)
+        core = ProcessorCore(timed_part, hierarchy, config.core, config.frontend, bht)
         if tracer is not None:
             core.attach_tracer(tracer)
 
@@ -227,9 +257,7 @@ class PerformanceModel:
             )
 
         config = self.config
-        hierarchy = build_hierarchy(config)
-        bht = BranchHistoryTable(config.bht)
-        warm_up(hierarchy, bht, trace, regions=regions)
+        hierarchy, bht, _ = build_cpu(config, trace, regions=regions)
 
         records = trace.records
         measurements = []
@@ -251,9 +279,7 @@ class PerformanceModel:
                 name=f"{trace.name}#w{window.index}",
                 cpu=trace.cpu,
             )
-            core = ProcessorCore(
-                window_trace, hierarchy, config.core, config.frontend, config.bht, bht=bht
-            )
+            core = ProcessorCore(window_trace, hierarchy, config.core, config.frontend, bht)
             detailed += len(window_trace)
             measurements.append(
                 core.run_measured(

@@ -16,13 +16,10 @@ from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigError
 from repro.core.pipeline import ProcessorCore, step_cores
-from repro.frontend.bht import BranchHistoryTable
-from repro.memory.bus import Bus
-from repro.memory.dram import MemoryController
+from repro.memory.coherence import CoherenceDomain
 from repro.model.config import MachineConfig
-from repro.model.simulator import build_hierarchy, warm_up
+from repro.model.simulator import build_cpu
 from repro.model.stats import SimResult
-from repro.smp.coherence import CoherenceDomain
 from repro.trace.stream import Trace
 
 
@@ -107,9 +104,11 @@ class SmpSystem:
     """An N-way SMP built from one MachineConfig and N per-CPU traces.
 
     Each CPU is a :class:`~repro.core.pipeline.ProcessorCore` over its own
-    L1/L2 hierarchy, warmed by :func:`~repro.model.simulator.warm_up`
-    exactly as a uniprocessor run is (the leading ``warmup_fraction`` of
-    its trace, after pre-warming ``regions_per_cpu``), then stepped in
+    L1/L2 hierarchy, built and warmed by
+    :func:`~repro.model.simulator.build_cpu` exactly as a uniprocessor
+    run is (the leading ``warmup_fraction`` of its trace, after
+    pre-warming ``regions_per_cpu``), but all joined to one
+    :class:`~repro.memory.coherence.CoherenceDomain`, then stepped in
     lock-step with the others by :meth:`run`.
     """
 
@@ -128,30 +127,21 @@ class SmpSystem:
         self.traces = traces
         self.cpu_count = len(traces)
 
-        self.system_bus = Bus(config.system_bus)
-        self.memory = MemoryController(config.memory, line_bytes=config.l2.line_bytes)
         self.domain = CoherenceDomain(
-            self.system_bus, self.memory, line_bytes=config.l2.line_bytes
+            config.system_bus, config.memory, line_bytes=config.l2.line_bytes
         )
 
         self.cores: List[ProcessorCore] = []
         #: Per CPU, the trace prefix spent warming state untimed.
         self.warmup_instructions: List[int] = []
         for cpu, trace in enumerate(traces):
-            hierarchy = build_hierarchy(
-                config,
-                cpu=cpu,
-                shared_system_bus=self.system_bus,
-                shared_memory=self.memory,
-            )
-            self.domain.attach(hierarchy)
-            bht = BranchHistoryTable(config.bht)
             regions = regions_per_cpu[cpu] if regions_per_cpu is not None else None
-            timed = warm_up(hierarchy, bht, trace, warmup_fraction, regions)
-            core = ProcessorCore(
-                timed, hierarchy, config.core, config.frontend, config.bht, bht=bht
+            hierarchy, bht, timed = build_cpu(
+                config, trace, warmup_fraction, regions, domain=self.domain, cpu=cpu
             )
-            self.cores.append(core)
+            self.cores.append(
+                ProcessorCore(timed, hierarchy, config.core, config.frontend, bht)
+            )
             self.warmup_instructions.append(len(trace) - len(timed))
 
     def run(self, max_cycles: Optional[int] = None) -> SmpResult:
@@ -181,7 +171,7 @@ class SmpSystem:
             total_instructions=total_instructions,
             per_cpu=per_cpu,
             coherence=self.domain.stats.as_dict(),
-            system_bus_utilization=self.system_bus.utilization(cycle),
+            system_bus_utilization=self.domain.system_bus.utilization(cycle),
             sim_speed=total_instructions / elapsed,
         )
 
@@ -194,8 +184,8 @@ def run_smp(
 ) -> SmpResult:
     """Warm each CPU on the leading fraction of its trace, then run.
 
-    Each CPU warms through the same :func:`~repro.model.simulator.warm_up`
-    as :meth:`PerformanceModel.run`, so a one-CPU run reproduces the
-    uniprocessor model's per-core results.
+    Each CPU is built and warmed by the same
+    :func:`~repro.model.simulator.build_cpu` as :meth:`PerformanceModel.run`,
+    so a one-CPU run reproduces the uniprocessor model's per-core results.
     """
     return SmpSystem(config, traces, warmup_fraction, regions_per_cpu).run()

@@ -29,7 +29,7 @@ from repro.core.pipeline import CoreStats, ProcessorCore
 from repro.isa.executor import ExecutionResult, FunctionalExecutor
 from repro.isa.program import Program
 from repro.model.config import MachineConfig, base_config
-from repro.model.simulator import PerformanceModel, build_hierarchy
+from repro.model.simulator import PerformanceModel, build_cpu
 from repro.trace.stream import Trace
 
 
@@ -68,14 +68,9 @@ class LogicSimulator:
         execution = executor.run(program)
         trace = Trace(execution.records, name=f"exec:{program.name}")
 
-        hierarchy = build_hierarchy(self.config)
-        core = ProcessorCore(
-            trace,
-            hierarchy,
-            self.config.core,
-            self.config.frontend,
-            self.config.bht,
-        )
+        config = self.config
+        hierarchy, bht, _ = build_cpu(config, trace)
+        core = ProcessorCore(trace, hierarchy, config.core, config.frontend, bht)
         stats = core.run()
         return LogicSimResult(
             program_name=program.name,

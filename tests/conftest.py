@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.pipeline import ProcessorCore
-from repro.frontend.bht import BhtParams
+from repro.frontend.bht import BhtParams, BranchHistoryTable
 from repro.frontend.fetch import FrontEndParams
 from repro.memory.params import (
     BusParams,
@@ -33,7 +33,7 @@ def zero_snapshot(table1_config) -> dict:
         build_hierarchy(table1_config),
         table1_config.core,
         table1_config.frontend,
-        table1_config.bht,
+        BranchHistoryTable(table1_config.bht),
     )
     return core.snapshot()
 

@@ -6,7 +6,7 @@ from repro.core.pipeline import ProcessorCore
 from repro.core.params import RsOrganization
 from repro.frontend.bht import BranchHistoryTable
 from repro.isa.opcodes import OpClass
-from repro.model.simulator import build_hierarchy, warm_structures, warm_up
+from repro.model.simulator import build_cpu, build_hierarchy, warm_structures
 from repro.trace.record import TraceRecord, make_branch
 from repro.trace.stream import Trace
 
@@ -14,7 +14,8 @@ from repro.trace.stream import Trace
 def run_core(records, config, warm=True, max_cycles=500_000):
     hierarchy = build_hierarchy(config)
     trace = Trace(records, name="t")
-    core = ProcessorCore(trace, hierarchy, config.core, config.frontend, config.bht)
+    bht = BranchHistoryTable(config.bht)
+    core = ProcessorCore(trace, hierarchy, config.core, config.frontend, bht)
     if warm:
         warm_structures(hierarchy, core.fetch.bht, trace)
     stats = core.run(max_cycles=max_cycles)
@@ -291,7 +292,7 @@ class TestIdleSkipAhead:
         hierarchy = build_hierarchy(config)
         trace = Trace(list(records), name="dram")
         return ProcessorCore(
-            trace, hierarchy, config.core, config.frontend, config.bht
+            trace, hierarchy, config.core, config.frontend, BranchHistoryTable(config.bht)
         )
 
     def test_jumps_never_overshoot_activity(self, table1_config):
@@ -359,12 +360,8 @@ class TestMeasuredRunMatchesRun:
 
     @staticmethod
     def _warmed_core(config, trace):
-        hierarchy = build_hierarchy(config)
-        bht = BranchHistoryTable(config.bht)
-        timed = warm_up(hierarchy, bht, trace, warmup_fraction=0.5)
-        core = ProcessorCore(
-            timed, hierarchy, config.core, config.frontend, config.bht, bht=bht
-        )
+        hierarchy, bht, timed = build_cpu(config, trace, warmup_fraction=0.5)
+        core = ProcessorCore(timed, hierarchy, config.core, config.frontend, bht)
         return core, len(timed)
 
     @pytest.mark.parametrize(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.frontend.bht import BHT_4K_2W_1T, BHT_16K_4W_2T
+from repro.frontend.bht import BHT_4K_2W_1T, BHT_16K_4W_2T, BranchHistoryTable
 from repro.frontend.fetch import FetchUnit, FrontEndParams
 from repro.frontend.ras import ReturnAddressStack
 from repro.isa.opcodes import OpClass
@@ -24,7 +24,7 @@ def make_fetch(records, config, frontend=None, bht=None):
     unit = FetchUnit(
         Trace(records),
         hierarchy,
-        bht or BHT_16K_4W_2T,
+        BranchHistoryTable(bht or BHT_16K_4W_2T),
         frontend or FrontEndParams(),
     )
     return unit
@@ -157,7 +157,9 @@ class TestIcacheMiss:
     def test_miss_stalls_then_delivers(self, small_config):
         records = [make_alu(0x1000, dest=8, srcs=())]
         hierarchy = build_hierarchy(small_config)
-        unit = FetchUnit(Trace(records), hierarchy, BHT_16K_4W_2T, FrontEndParams())
+        unit = FetchUnit(
+            Trace(records), hierarchy, BranchHistoryTable(BHT_16K_4W_2T), FrontEndParams()
+        )
         unit.step(0)  # cold miss
         assert unit.buffer_empty()
         assert unit.icache_stall_cycles > 0

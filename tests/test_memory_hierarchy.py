@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.common.errors import ConfigError
+from repro.memory.coherence import CoherenceDomain
 from repro.model.simulator import build_hierarchy, prewarm_regions
 
 
@@ -121,3 +123,26 @@ class TestBankMapping:
     def test_bank_of(self, hierarchy):
         assert hierarchy.bank_of(0x10000) != hierarchy.bank_of(0x10004)
         assert hierarchy.bank_of(0x10000) == hierarchy.bank_of(0x10020)
+
+
+class TestResetTiming:
+    def test_one_cpu_hierarchy_rewinds(self, hierarchy):
+        # The sampled path rewinds a uniprocessor's timeline per window.
+        cold = hierarchy.load(0, 0x10000)
+        hierarchy.load(0, 0x20000)
+        assert hierarchy.domain.system_bus.busy_until > 0
+        hierarchy.reset_timing()
+        assert hierarchy.domain.system_bus.busy_until == 0
+        assert hierarchy.domain.system_bus.busy_cycles == 0
+        assert hierarchy.l1d.resident(0x10000)  # contents survive
+        # An uncontended miss costs what the first cold miss did.
+        assert hierarchy.load(0, 0x30000).ready_cycle == cold.ready_cycle
+
+    def test_two_cpu_domain_refuses(self, small_config):
+        domain = CoherenceDomain(small_config.system_bus, small_config.memory)
+        first = build_hierarchy(small_config, domain, cpu=0)
+        build_hierarchy(small_config, domain, cpu=1)
+        first.load(0, 0x10000)
+        with pytest.raises(ConfigError, match="2 CPUs"):
+            first.reset_timing()
+        assert first.domain.system_bus.busy_until > 0  # nothing was reset

@@ -14,6 +14,7 @@ import pytest
 from repro.analysis.runner import ExperimentRunner
 from repro.analysis.workloads import smp_workload, standard_workloads
 from repro.core.pipeline import ProcessorCore
+from repro.frontend.bht import BranchHistoryTable
 from repro.model.config import base_config
 from repro.model.simulator import PerformanceModel, build_hierarchy
 from repro.observe import categories as cat
@@ -99,7 +100,7 @@ def test_conservation_small_config(small_config):
         build_hierarchy(small_config),
         small_config.core,
         small_config.frontend,
-        small_config.bht,
+        BranchHistoryTable(small_config.bht),
     )
     stats = core.run()
     assert total(stats.cpi_stack) == stats.cycles
@@ -231,7 +232,7 @@ def test_finalize_raises_on_corrupted_stack(small_config):
         build_hierarchy(small_config),
         small_config.core,
         small_config.frontend,
-        small_config.bht,
+        BranchHistoryTable(small_config.bht),
     )
     cycle = 0
     while not core.finished:

@@ -4,27 +4,17 @@ import pytest
 
 from repro.analysis.workloads import smp_workload
 from repro.common.errors import ConfigError, SimulationError
-from repro.memory.bus import Bus
 from repro.memory.cache import LineState
-from repro.memory.dram import MemoryController
+from repro.memory.coherence import CoherenceDomain
 from repro.model.simulator import build_hierarchy
-from repro.smp.coherence import CoherenceDomain
 from repro.smp.system import SmpSystem, run_smp
 from repro.trace.synth import build_smp_generators, standard_profiles
 
 
 @pytest.fixture
 def domain(small_config):
-    bus = Bus(small_config.system_bus)
-    memory = MemoryController(small_config.memory)
-    domain = CoherenceDomain(bus, memory)
-    hierarchies = []
-    for cpu in range(2):
-        hierarchy = build_hierarchy(
-            small_config, cpu=cpu, shared_system_bus=bus, shared_memory=memory
-        )
-        domain.attach(hierarchy)
-        hierarchies.append(hierarchy)
+    domain = CoherenceDomain(small_config.system_bus, small_config.memory)
+    hierarchies = [build_hierarchy(small_config, domain, cpu) for cpu in range(2)]
     return domain, hierarchies
 
 
