@@ -459,7 +459,7 @@ class ProcessorCore:
                 "misses": hierarchy.dtlb.stats.misses,
             },
             "l1_l2_bus_busy": hierarchy.l1_l2_bus.busy_cycles,
-            "system_bus_busy": hierarchy.domain.system_bus.busy_cycles,
+            "system_bus_busy": hierarchy.domain.bus_busy_by_cpu[hierarchy.cpu],
             "prefetches_issued": hierarchy.prefetcher.stats.issued,
         }
 

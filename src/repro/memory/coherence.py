@@ -20,7 +20,10 @@ uses between chips.  All processors' L2s snoop the shared system bus:
 Timing: every transaction arbitrates for the shared system bus; a
 cache-to-cache transfer costs the bus transfer plus the remote chip's L2
 access, which is why it is still far cheaper than DRAM — the quantity
-the two-level-hierarchy argument of §3.3 turns on.
+the two-level-hierarchy argument of §3.3 turns on.  Each transfer's bus
+cycles are also counted against the CPU that caused it
+(:attr:`CoherenceDomain.bus_busy_by_cpu`), so the per-CPU counts sum to
+the bus's own.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict
 
 from repro.common.errors import ConfigError, SimulationError
-from repro.memory.bus import Bus
+from repro.memory.bus import Bus, TransferTiming
 from repro.memory.cache import LineState
 from repro.memory.dram import MemoryController
 from repro.memory.params import BusParams, MemoryParams
@@ -88,6 +91,8 @@ class CoherenceDomain:
         self.memory = MemoryController(memory, line_bytes=line_bytes)
         self.line_bytes = line_bytes
         self._hierarchies: Dict[int, "MemoryHierarchy"] = {}
+        #: System-bus busy cycles of the transfers each CPU caused.
+        self.bus_busy_by_cpu: Dict[int, int] = {}
         self.stats = CoherenceStats()
 
     def attach(self, hierarchy: "MemoryHierarchy") -> None:
@@ -95,6 +100,7 @@ class CoherenceDomain:
         if hierarchy.cpu in self._hierarchies:
             raise SimulationError(f"duplicate cpu id {hierarchy.cpu}")
         self._hierarchies[hierarchy.cpu] = hierarchy
+        self.bus_busy_by_cpu[hierarchy.cpu] = 0
 
     def reset_timing(self) -> None:
         """Forget the bus and memory reservations (sampled simulation).
@@ -109,14 +115,21 @@ class CoherenceDomain:
             )
         self.system_bus.reset()
         self.memory.reset()
+        for cpu in self.bus_busy_by_cpu:
+            self.bus_busy_by_cpu[cpu] = 0
 
     # ------------------------------------------------------------------
     # Requests from the hierarchies.
     # ------------------------------------------------------------------
 
-    def write_back(self, cycle: int) -> None:
-        """A dirty L2 victim goes back to memory over the system bus."""
-        self.system_bus.transfer(cycle, self.line_bytes)
+    def _transfer(self, cycle: int, payload_bytes: int, cpu: int) -> TransferTiming:
+        """One system-bus transfer, its busy cycles counted against ``cpu``."""
+        self.bus_busy_by_cpu[cpu] += self.system_bus.params.occupancy(payload_bytes)
+        return self.system_bus.transfer(cycle, payload_bytes)
+
+    def write_back(self, cycle: int, cpu: int) -> None:
+        """CPU ``cpu``'s dirty L2 victim goes back to memory over the bus."""
+        self._transfer(cycle, self.line_bytes, cpu)
 
     def fetch_line(
         self, cycle: int, cpu: int, line_addr: int, is_write: bool
@@ -128,7 +141,7 @@ class CoherenceDomain:
             self.stats.read_misses += 1
 
         # Command broadcast: every chip snoops the address.
-        request = self.system_bus.transfer(cycle, 8)
+        request = self._transfer(cycle, 8, cpu)
 
         owner = None
         sharers = []
@@ -150,15 +163,15 @@ class CoherenceDomain:
             if owner is not None:
                 # Dirty data moves out of the owner to the writer.
                 self.stats.cache_to_cache += 1
-                data = self.system_bus.transfer(
-                    request.done + self.REMOTE_L2_ACCESS, self.line_bytes
+                data = self._transfer(
+                    request.done + self.REMOTE_L2_ACCESS, self.line_bytes, cpu
                 )
                 return RemoteResult(
                     ready_cycle=data.done, from_cache=True, state=LineState.MODIFIED
                 )
             self.stats.memory_fetches += 1
             data_ready = self.memory.request(request.done, line_addr)
-            data = self.system_bus.transfer(data_ready, self.line_bytes)
+            data = self._transfer(data_ready, self.line_bytes, cpu)
             return RemoteResult(
                 ready_cycle=data.done, from_cache=False, state=LineState.MODIFIED
             )
@@ -168,8 +181,8 @@ class CoherenceDomain:
             # Move-out: the owner sources the line and keeps it OWNED.
             self.stats.cache_to_cache += 1
             owner.snoop_downgrade(line_addr, LineState.OWNED)
-            data = self.system_bus.transfer(
-                request.done + self.REMOTE_L2_ACCESS, self.line_bytes
+            data = self._transfer(
+                request.done + self.REMOTE_L2_ACCESS, self.line_bytes, cpu
             )
             return RemoteResult(
                 ready_cycle=data.done, from_cache=True, state=LineState.SHARED
@@ -177,13 +190,13 @@ class CoherenceDomain:
         install = LineState.SHARED if sharers else LineState.EXCLUSIVE
         self.stats.memory_fetches += 1
         data_ready = self.memory.request(request.done, line_addr)
-        data = self.system_bus.transfer(data_ready, self.line_bytes)
+        data = self._transfer(data_ready, self.line_bytes, cpu)
         return RemoteResult(ready_cycle=data.done, from_cache=False, state=install)
 
     def upgrade_line(self, cycle: int, cpu: int, line_addr: int) -> int:
         """Write to a locally SHARED line: invalidate remote copies."""
         self.stats.upgrades += 1
-        request = self.system_bus.transfer(cycle, 8)
+        request = self._transfer(cycle, 8, cpu)
         for hierarchy in self._hierarchies.values():
             if hierarchy.cpu == cpu:
                 continue

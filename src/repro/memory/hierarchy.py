@@ -273,7 +273,7 @@ class MemoryHierarchy:
             elif not self.perfect_l2:
                 l2_victim = self.l2.fill(evicted.line_addr, state=LineState.MODIFIED)
                 if l2_victim is not None and l2_victim.dirty:
-                    self.domain.write_back(issue_cycle)
+                    self.domain.write_back(issue_cycle, self.cpu)
 
         mshr.allocate(line, ready, issue_cycle)
         self._pending_level[line] = l2_result.level
@@ -329,7 +329,7 @@ class MemoryHierarchy:
         level = "remote" if remote.from_cache else "mem"
         evicted = self.l2.fill(line, state=remote.state, from_prefetch=not demand)
         if evicted is not None and evicted.dirty:
-            self.domain.write_back(issue_cycle)
+            self.domain.write_back(issue_cycle, self.cpu)
 
         self.l2_mshr.allocate(line, remote.ready_cycle, issue_cycle)
         self._pending_level[-line] = level

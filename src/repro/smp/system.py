@@ -27,11 +27,10 @@ from repro.trace.stream import Trace
 class SmpResult:
     """Results of one multiprocessor run.
 
-    ``per_cpu`` holds each CPU's own counters, except
-    ``system_bus_utilization``: the system bus is shared, so every
-    per-CPU result repeats the shared bus's figure (equal to this
-    object's ``system_bus_utilization``).  It must not be summed across
-    CPUs.
+    ``per_cpu`` holds each CPU's own counters.  A CPU's
+    ``system_bus_utilization`` counts the busy cycles of the shared-bus
+    transfers that CPU caused (its misses, upgrades and write-backs), so
+    the per-CPU figures sum to this object's ``system_bus_utilization``.
     """
 
     config_name: str

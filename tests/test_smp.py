@@ -151,3 +151,40 @@ class TestSmpSystem:
             + result.coherence["cache_to_cache"]
             > 0
         )
+
+
+class TestBusAccounting:
+    """Each system-bus transfer is counted against the CPU that caused it."""
+
+    def test_transfers_count_against_requester(self, domain):
+        dom, (a, b) = domain
+        a.l2.fill(LINE, state=LineState.MODIFIED)
+        dom.fetch_line(0, cpu=1, line_addr=LINE, is_write=False)  # move-out
+        dom.write_back(0, cpu=0)
+        bus = dom.system_bus
+        line_cycles = bus.params.occupancy(dom.line_bytes)
+        assert dom.bus_busy_by_cpu == {
+            0: line_cycles,
+            1: bus.params.occupancy(8) + line_cycles,
+        }
+        assert sum(dom.bus_busy_by_cpu.values()) == bus.busy_cycles
+
+    def test_per_cpu_busy_cycles_sum_to_shared_bus(self, small_config):
+        profile = standard_profiles()["TPC-C"].derived(
+            shared_access_fraction=0.2, shared_write_fraction=0.5
+        )
+        traces = [g.generate(6000) for g in build_smp_generators(profile, 2, seed=5)]
+        system = SmpSystem(small_config, traces, warmup_fraction=0.2)
+        result = system.run()
+        busy = system.domain.bus_busy_by_cpu
+        assert all(cycles > 0 for cycles in busy.values())
+        assert sum(busy.values()) == system.domain.system_bus.busy_cycles
+        per_cpu = [r.system_bus_utilization for r in result.per_cpu]
+        assert all(u < result.system_bus_utilization for u in per_cpu)
+        assert sum(per_cpu) == pytest.approx(result.system_bus_utilization)
+
+    def test_one_cpu_equals_shared_figure(self, small_config):
+        traces, _ = smp_workload(1, seed=3, warm=1000, timed=3000).smp_traces(1)
+        result = run_smp(small_config, traces, warmup_fraction=0.25)
+        assert result.system_bus_utilization > 0
+        assert result.per_cpu[0].system_bus_utilization == result.system_bus_utilization
