@@ -23,16 +23,11 @@ class CacheGeometry:
     line_bytes: int = 64
     #: Load-to-use latency of a hit, in cycles.
     hit_latency: int = 3
-    #: Cycles the cache's request port is occupied per access (throughput).
-    port_occupancy: int = 1
-    #: Number of independent request ports.
-    ports: int = 1
     #: Miss-status holding registers (outstanding line misses).
     mshr_count: int = 8
     #: Number of interleaved data banks (L1 operand cache: 8 × 4 B).
     banks: int = 1
     bank_bytes: int = 4
-    write_allocate: bool = True
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0 or self.ways <= 0 or self.line_bytes <= 0:
@@ -47,8 +42,8 @@ class CacheGeometry:
         sets = self.size_bytes // (self.ways * self.line_bytes)
         if not is_power_of_two(sets):
             raise ConfigError(f"{self.name}: set count {sets} must be a power of two")
-        if self.hit_latency < 1 or self.port_occupancy < 1:
-            raise ConfigError(f"{self.name}: latencies must be >= 1")
+        if self.hit_latency < 1:
+            raise ConfigError(f"{self.name}: hit latency must be >= 1")
         if self.mshr_count < 1:
             raise ConfigError(f"{self.name}: need at least one MSHR")
         if self.banks < 1 or not is_power_of_two(self.banks):

@@ -57,7 +57,7 @@ class MachineConfig:
     bht: BhtParams = field(default_factory=lambda: BHT_16K_4W_2T)
     l1i: CacheGeometry = field(
         default_factory=lambda: CacheGeometry(
-            "L1I", 128 * 1024, 2, hit_latency=3, port_occupancy=1, mshr_count=4
+            "L1I", 128 * 1024, 2, hit_latency=3, mshr_count=4
         )
     )
     l1d: CacheGeometry = field(
@@ -69,7 +69,6 @@ class MachineConfig:
             mshr_count=8,
             banks=8,
             bank_bytes=4,
-            ports=2,
         )
     )
     l2: CacheGeometry = field(
