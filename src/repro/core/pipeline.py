@@ -83,7 +83,7 @@ def functional_warm(
         hierarchy.warm_fetch(record.pc, prefetch=prefetch)
         if record.is_memory:
             hierarchy.warm_data(record.ea, record.is_store, prefetch=prefetch)
-        elif record.op == OpClass.BRANCH_COND and bht is not None:
+        elif record.op == OpClass.BRANCH_COND:
             bht.warm(record.pc, record.taken)
         count += 1
     return count

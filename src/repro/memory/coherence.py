@@ -28,7 +28,7 @@ the bus's own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Dict
 
 from repro.common.errors import ConfigError, SimulationError
@@ -65,14 +65,7 @@ class CoherenceStats:
     invalidations_sent: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "read_misses": self.read_misses,
-            "write_misses": self.write_misses,
-            "upgrades": self.upgrades,
-            "cache_to_cache": self.cache_to_cache,
-            "memory_fetches": self.memory_fetches,
-            "invalidations_sent": self.invalidations_sent,
-        }
+        return asdict(self)
 
 
 class CoherenceDomain:
@@ -115,8 +108,7 @@ class CoherenceDomain:
             )
         self.system_bus.reset()
         self.memory.reset()
-        for cpu in self.bus_busy_by_cpu:
-            self.bus_busy_by_cpu[cpu] = 0
+        self.bus_busy_by_cpu = dict.fromkeys(self.bus_busy_by_cpu, 0)
 
     # ------------------------------------------------------------------
     # Requests from the hierarchies.

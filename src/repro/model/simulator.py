@@ -105,7 +105,7 @@ def prewarm_regions(hierarchy: MemoryHierarchy, regions: dict) -> None:
 
 def warm_structures(
     hierarchy: MemoryHierarchy,
-    bht: Optional[BranchHistoryTable],
+    bht: BranchHistoryTable,
     trace: Trace,
 ) -> None:
     """Functionally touch caches/TLBs/BHT with ``trace`` (no timing).
@@ -123,8 +123,7 @@ def warm_structures(
     hierarchy.l2.stats.__init__()
     hierarchy.itlb.stats.__init__()
     hierarchy.dtlb.stats.__init__()
-    if bht is not None:
-        bht.stats.__init__()
+    bht.stats.__init__()
 
 
 def warm_up(

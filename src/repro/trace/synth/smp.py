@@ -12,7 +12,11 @@ traces from them).  Every CPU runs the same
   profile, which is what creates the inter-L2 "move-out" traffic the
   paper's two-level-cache argument (§3.3) and the 16P L2 study (§4.3.4)
   depend on;
-- private data regions are offset per CPU so they never falsely conflict.
+- private regions are *not* offset per CPU: ``cpu`` only forks each
+  generator's RNG and names its trace, so every CPU's code, user data
+  and kernel data sit at the same bases and overlap in the caches.
+  ROADMAP item 1(b) proposes per-CPU user data and one code image
+  shared by all CPUs.
 """
 
 from __future__ import annotations

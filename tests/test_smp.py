@@ -158,14 +158,14 @@ class TestBusAccounting:
 
     def test_transfers_count_against_requester(self, domain):
         dom, (a, b) = domain
-        a.l2.fill(LINE, state=LineState.MODIFIED)
-        dom.fetch_line(0, cpu=1, line_addr=LINE, is_write=False)  # move-out
-        dom.write_back(0, cpu=0)
+        b.l2.fill(LINE, state=LineState.MODIFIED)
+        dom.fetch_line(0, cpu=0, line_addr=LINE, is_write=False)  # move-out
+        dom.write_back(0, cpu=1)
         bus = dom.system_bus
         line_cycles = bus.params.occupancy(dom.line_bytes)
         assert dom.bus_busy_by_cpu == {
-            0: line_cycles,
-            1: bus.params.occupancy(8) + line_cycles,
+            0: bus.params.occupancy(8) + line_cycles,
+            1: line_cycles,
         }
         assert sum(dom.bus_busy_by_cpu.values()) == bus.busy_cycles
 
