@@ -1,5 +1,8 @@
 """Unit tests for the assembled memory hierarchy."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.common.errors import ConfigError
@@ -141,8 +144,24 @@ class TestResetTiming:
     def test_two_cpu_domain_refuses(self, small_config):
         domain = CoherenceDomain(small_config.system_bus, small_config.memory)
         first = build_hierarchy(small_config, domain, cpu=0)
-        build_hierarchy(small_config, domain, cpu=1)
+        second = build_hierarchy(small_config, domain, cpu=1)
         first.load(0, 0x10000)
         with pytest.raises(ConfigError, match="2 CPUs"):
             first.reset_timing()
-        assert first.domain.system_bus.busy_until > 0  # nothing was reset
+        assert second.domain.system_bus.busy_until > 0  # nothing was reset
+
+
+def test_dropped_hierarchy_is_freed_without_the_cycle_collector(small_config):
+    # The domain must not keep its hierarchies alive: a sweep worker
+    # runs point after point, and each finished machine's caches should
+    # go as soon as the run drops them.
+    gc.disable()
+    try:
+        hierarchy = build_hierarchy(small_config)
+        domain = weakref.ref(hierarchy.domain)
+        freed = weakref.ref(hierarchy)
+        del hierarchy
+        assert freed() is None
+        assert domain() is None
+    finally:
+        gc.enable()
