@@ -135,12 +135,12 @@ def warm_up(
 ) -> Trace:
     """Warm one processor's state; return the timed part of ``trace``.
 
-    The one warm-up every run shares (uniprocessor, sampled, each SMP
-    CPU, ``repro profile``): the leading ``warmup_fraction`` of
-    ``trace`` is split off, ``regions`` (from
-    :meth:`TraceGenerator.memory_regions`) are pre-warmed to steady-state
-    residency, the split-off prefix functionally warms caches, TLBs and
-    ``bht``, and the statistics both touched are reset once.
+    The one warm-up every CPU gets, through :func:`build_cpu`: the
+    leading ``warmup_fraction`` of ``trace`` is split off, ``regions``
+    (from :meth:`TraceGenerator.memory_regions`) are pre-warmed to
+    steady-state residency, the split-off prefix functionally warms
+    caches, TLBs and ``bht``, and the statistics both touched are reset
+    once.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ConfigError("warmup_fraction must be in [0, 1)")
