@@ -6,22 +6,18 @@ Reproduces the paper's development-process machinery end to end:
 1. Generate a trace, turn it into an executable performance test program
    with the Reverse Tracer, and cross-check the trace-driven model
    against the execution-driven logic simulator (Figure 3, loop (2)).
-2. Replay the model-version history v1..v8 and show the estimate
-   convergence with the v5 special-instruction anomaly (Figure 19 upper).
-3. Track model-vs-"machine" error across verification phases to the
-   final <5% accuracy (Figure 19 lower).
+2. Replay the model-version history v1..v8, showing the estimate
+   convergence with the v5 special-instruction anomaly, and track
+   model-vs-"machine" error across verification phases (Figure 19; the
+   paper ends below 5%, SPECfp2000 here does not: EXPERIMENTS.md "Known
+   gaps" 6).
 
 Run:  python examples/model_verification.py
 """
 
+from repro.analysis import fig19_accuracy, workload_by_name
 from repro.trace.synth import generate_trace, standard_profiles
-from repro.verify import (
-    LogicSimulator,
-    ReverseTracer,
-    accuracy_history,
-    cross_check,
-    version_estimate_history,
-)
+from repro.verify import ReverseTracer, cross_check
 
 
 def step1_cross_check() -> None:
@@ -41,35 +37,24 @@ def step1_cross_check() -> None:
     )
 
 
-def step2_version_history() -> None:
-    print("=== 2. Model versions v1..v8 (Figure 19, upper) ===")
-    history = version_estimate_history(timed=10_000, warm=40_000)
-    for workload, versions in history.items():
-        series = "  ".join(f"{label}={value:.3f}" for label, value in versions.items())
-        print(f"{workload:12s} {series}")
+def step2_accuracy() -> None:
+    print("=== 2. Model versions and accuracy (Figure 19) ===")
+    workloads = [
+        workload_by_name(name, warm=40_000, timed=10_000)
+        for name in ("SPECint2000", "SPECfp2000")
+    ]
+    print(fig19_accuracy(workloads).format_table())
     print(
-        "Estimates decrease as model rigidity improves; v5 moves back up\n"
+        "\nEstimates decrease as model rigidity improves; v5 moves back up\n"
         "because special instructions got their detailed model (the paper's\n"
-        "v4-era flat experimental penalty was pessimistic).\n"
-    )
-
-
-def step3_accuracy() -> None:
-    print("=== 3. Accuracy vs the physical machine (Figure 19, lower) ===")
-    points = accuracy_history(timed=10_000, warm=40_000)
-    for point in points:
-        print(f"{point.workload:12s} {point.phase:8s} error {point.error:+.2%}")
-    final_errors = [point.abs_error for point in points if point.phase == "final"]
-    print(
-        f"\nfinal accuracy: {max(final_errors):.2%} worst-case "
-        "(paper: 3.9% SPECfp2000, 4.2% SPECint2000)"
+        "v4-era flat experimental penalty was pessimistic).  The paper's final\n"
+        "error is 3.9% on SPECfp2000 and 4.2% on SPECint2000."
     )
 
 
 def main() -> None:
     step1_cross_check()
-    step2_version_history()
-    step3_accuracy()
+    step2_accuracy()
 
 
 if __name__ == "__main__":

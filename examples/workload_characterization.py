@@ -34,18 +34,9 @@ def main() -> None:
         print()
         breakdowns[workload.name] = report.breakdown.as_dict()
 
-    rows = {
-        name: {
-            "core": values["core"],
-            "branch": values["branch"],
-            "ibs/tlb": values["ibs/tlb"],
-            "sx": values["sx"],
-        }
-        for name, values in breakdowns.items()
-    }
     print(
         stacked_breakdown_chart(
-            rows,
+            breakdowns,
             order=["core", "branch", "ibs/tlb", "sx"],
             title="Figure 7 — execution-time breakdown (100% stacked)",
         )

@@ -26,6 +26,7 @@ from repro.analysis.figures import (
     fig14_15_l2,
     fig16_17_prefetch,
     fig18_reservation,
+    fig19_accuracy,
 )
 from repro.analysis.characterize import characterize_trace, characterize_workload
 from repro.analysis.sweeps import (
@@ -56,6 +57,7 @@ __all__ = [
     "fig14_15_l2",
     "fig16_17_prefetch",
     "fig18_reservation",
+    "fig19_accuracy",
     "characterize_trace",
     "characterize_workload",
     "l2_size_sweep",

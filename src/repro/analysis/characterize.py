@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.analysis.figures import fig07_characteristics
 from repro.analysis.report import format_table, percent
+from repro.analysis.runner import ExperimentRunner
 from repro.analysis.workloads import Workload
 from repro.model.config import MachineConfig, base_config
-from repro.model.perfect import StallBreakdown, stall_breakdown
-from repro.model.simulator import PerformanceModel
+from repro.model.perfect import StallBreakdown
 from repro.model.stats import SimResult
 from repro.trace.stream import Trace, TraceStats
 
@@ -70,21 +71,15 @@ def characterize_workload(
     config: Optional[MachineConfig] = None,
     with_breakdown: bool = False,
 ) -> WorkloadReport:
-    """Full characterisation: trace statistics + model run (+ Figure 7)."""
+    """Full characterisation: trace statistics + model run (+ Figure 7).
+
+    One runner serves both, so the breakdown's base model is the run the
+    report shows.
+    """
     config = config or base_config()
-    trace = workload.trace()
-    sim = PerformanceModel(config).run(
-        trace,
-        warmup_fraction=workload.warmup_fraction,
-        regions=workload.regions(),
-    )
+    runner = ExperimentRunner()
     breakdown = None
     if with_breakdown:
-        breakdown = stall_breakdown(
-            config,
-            trace,
-            warmup_fraction=workload.warmup_fraction,
-            regions=workload.regions(),
-        )
-        breakdown.trace_name = workload.name
-    return WorkloadReport(workload.name, trace.stats(), sim, breakdown)
+        [breakdown] = fig07_characteristics([workload], config, runner).breakdowns
+    sim = runner.run(config, workload)
+    return WorkloadReport(workload.name, workload.trace().stats(), sim, breakdown)

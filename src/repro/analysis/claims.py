@@ -1,4 +1,4 @@
-"""The claims ledger: every paper shape of §4, graded from one table.
+"""The claims ledger: every paper shape of §4 and Fig. 19, graded from one table.
 
 Each :class:`Claim` row is one statement of the paper, with the paper's
 number where the text gives one.  It names the figure of
@@ -148,6 +148,11 @@ def _lead(ratios: Mapping, best: Sequence[str], rest: Sequence[str]) -> float:
     return max(_at(ratios, n) for n in best) - max(_at(ratios, n) for n in rest)
 
 
+def _drop(result, early: str, late: str) -> float:
+    """Figure 19's smallest estimate drop from version ``early`` to ``late``."""
+    return min(_at(row, early) - _at(row, late) for row in result.versions.values())
+
+
 # ---------------------------------------------------------------------------
 # The ledger.  Where an earlier scorecard and a figure benchmark bounded
 # the same statement differently, the FAIL line is the stricter of the two.
@@ -294,6 +299,30 @@ CLAIMS: Tuple[Claim, ...] = (
     Claim("fig18.2rs-loss-slight", "18",
           "2RS loses only slightly against 1RS (lowest IPC(2RS)/IPC(1RS))",
           lambda r: min(_every(r.ratios)), at_least(0.90)),
+    Claim("fig19.v1-optimistic", "19",
+          "v1 (latency-only memory model) over-estimates performance (smallest v1 - v8)",
+          lambda r: _drop(r, "v1", "v8"), at_least(-0.01)),
+    Claim("fig19.estimates-decline", "19",
+          "estimates decrease from v1 to v4 as rigidity improves (smallest step down)",
+          lambda r: min(_drop(r, f"v{k}", f"v{k + 1}") for k in (1, 2, 3)),
+          at_least(-0.01)),
+    Claim("fig19.v5-bump", "19",
+          "the exception at v5: modelling special instructions in detail (smallest v5 - v4)",
+          lambda r: _drop(r, "v5", "v4"), at_least(-0.005)),
+    Claim("fig19.int2000-final-error", "19",
+          "the final model's SPECint2000 |error| against the machine (paper 4.2%)",
+          lambda r: abs(_at(r.errors["SPECint2000"], "final")), below(0.08), fmt="{:.1%}"),
+    Claim("fig19.fp2000-final-error", "19",
+          "the final model's SPECfp2000 |error| against the machine (paper 3.9%)",
+          lambda r: abs(_at(r.errors["SPECfp2000"], "final")), below(0.08), gap=6,
+          fmt="{:.1%}"),
+    Claim("fig19.final-no-worse", "19",
+          "the final model is as accurate as the earlier phases (largest final - worst |error|)",
+          lambda r: max(
+              abs(_at(row, "final")) - max(abs(_at(row, p)) for p in row if p != "final")
+              for row in r.errors.values()
+          ),
+          at_most(0.02)),
 )
 
 CLAIMS_BY_ID: Dict[str, Claim] = {claim.id: claim for claim in CLAIMS}

@@ -578,6 +578,65 @@ def fig18_reservation(
 
 
 # ---------------------------------------------------------------------------
+# Figure 19 — model accuracy.
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class AccuracyResult:
+    """Figure 19: estimates by model version (upper graph) and model error
+    against the machine by verification phase (lower graph)."""
+
+    #: workload -> version -> performance relative to v8 (``None``: abandoned)
+    versions: Dict[str, Dict[str, Optional[float]]]
+    #: workload -> phase -> relative cycle error against the machine
+    errors: Dict[str, Dict[str, Optional[float]]]
+
+    @property
+    def missing(self) -> List[str]:
+        return [
+            name
+            for name in self.versions
+            if None in self.versions[name].values() or None in self.errors[name].values()
+        ]
+
+    def format_table(self) -> str:
+        def table(rows: Dict[str, Dict[str, Optional[float]]], render) -> str:
+            labels = list(next(iter(rows.values()), {}))
+            return format_table(
+                ["workload", *labels],
+                [(name, *map(render, row.values())) for name, row in rows.items()],
+            )
+
+        return (
+            "Figure 19 (upper): performance estimate by model version (v8 = 1.0)\n"
+            + table(self.versions, cell)
+            + "\n\nFigure 19 (lower): model error against the machine by phase\n"
+            + table(self.errors, lambda e: "n/a" if e is None else f"{e:+.1%}")
+            + partial_note(self.missing, "workload")
+        )
+
+
+def fig19_accuracy(
+    workloads: Optional[List[Workload]] = None,
+    runner: Optional[ExperimentRunner] = None,
+) -> AccuracyResult:
+    """Figure 19 on the SPEC CPU2000 rows of ``workloads``; the machine
+    runs another sample of each (:mod:`repro.verify.accuracy`)."""
+    # Imported on use: repro.verify also loads the reverse tracer and the
+    # ISA executor, which nothing else in the analysis layer needs.
+    from repro.verify.accuracy import accuracy_history, version_estimate_history
+
+    spec2000 = ("SPECint2000", "SPECfp2000")
+    workloads = [w for w in workloads or standard_workloads() if w.name in spec2000]
+    runner = runner or ExperimentRunner()
+    errors: Dict[str, Dict[str, Optional[float]]] = {}
+    for point in accuracy_history(workloads, runner):
+        errors.setdefault(point.workload, {})[point.phase] = point.error
+    return AccuracyResult(version_estimate_history(workloads, runner), errors)
+
+
+# ---------------------------------------------------------------------------
 # The figure registry ``repro figures``, the claims ledger and the figure
 # benchmarks share.
 # ---------------------------------------------------------------------------
@@ -591,6 +650,7 @@ FIGURES: Dict[str, Callable[..., Any]] = {
     "14": fig14_15_l2,
     "16": fig16_17_prefetch,
     "18": fig18_reservation,
+    "19": fig19_accuracy,
     "cpistack": fig_cpistack,
 }
 

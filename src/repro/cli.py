@@ -96,6 +96,7 @@ def _add_sampling_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> None:
+    from repro.analysis.runner import simulate
     from repro.analysis.workloads import workload_by_name
     from repro.model.simulator import PerformanceModel
 
@@ -119,9 +120,8 @@ def _cmd_run(args: argparse.Namespace) -> None:
             f"sampling {workload.name} ({len(workload.trace()):,} instructions, "
             f"plan {plan.key()}) on {config.name} ..."
         )
-        result = PerformanceModel(config).run_sampled(
-            workload.trace(), plan, regions=workload.regions()
-        )
+        workload.sampling = plan
+        result = simulate(config, workload)
         print(result.summary())
         print()
         print("estimates (95% confidence intervals):")
@@ -610,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
         "figures", help="regenerate paper figures and grade their claims"
     )
     p_fig.add_argument("figure", nargs="?", default="all",
-                       help="7, 8, 9, 11, 14, 16, 18, cpistack, or 'all'")
+                       help="7, 8, 9, 11, 14, 16, 18, 19, cpistack, or 'all'")
     p_fig.add_argument("--warm", type=int, default=100_000)
     p_fig.add_argument("--timed", type=int, default=25_000)
     p_fig.add_argument("--smp-cpus", type=int, default=16)

@@ -20,7 +20,7 @@ from repro.model.config import (
 )
 from repro.model.stats import SimResult
 from repro.model.simulator import PerformanceModel
-from repro.model.perfect import StallBreakdown, stall_breakdown
+from repro.model.perfect import StallBreakdown
 
 __all__ = [
     "MachineConfig",
@@ -35,5 +35,4 @@ __all__ = [
     "PerformanceModel",
     "SimResult",
     "StallBreakdown",
-    "stall_breakdown",
 ]

@@ -23,8 +23,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, List
 
 from repro.model.config import MachineConfig
-from repro.model.simulator import PerformanceModel
-from repro.trace.stream import Trace
 
 
 @dataclass
@@ -95,17 +93,3 @@ def breakdown_from_cycles(
         ibs_tlb=ibs_tlb / base_cycles,
         sx=sx / base_cycles,
     )
-
-
-def stall_breakdown(
-    config: MachineConfig,
-    trace: Trace,
-    warmup_fraction: float = 0.1,
-    regions: dict = None,
-) -> StallBreakdown:
-    """Compute the Figure 7 decomposition for one workload."""
-    cycles = [
-        PerformanceModel(variant).run(trace, warmup_fraction, regions=regions).cycles
-        for variant in perfect_variants(config)
-    ]
-    return breakdown_from_cycles(trace.name, *cycles)

@@ -202,7 +202,6 @@ class CampaignService:
                 pass
         executor.shutdown(wait=False, cancel_futures=True)
         self._executor = None
-        self.stats.pool_restarts += 1
 
     # -- submission ------------------------------------------------------
 
@@ -267,6 +266,7 @@ class CampaignService:
                 self.queue.heartbeat(flight.key)
         if hung:
             self._kill_pool()
+            self.stats.pool_restarts += 1
             for future, flight in list(self._inflight.items()):
                 if future in hung:
                     self.stats.timeouts += 1
@@ -556,7 +556,13 @@ class CampaignService:
         return ", ".join(parts)
 
     def close(self) -> None:
-        self._discard_pool()
+        """Stop the pool and close the journal: wait for idle workers, so
+        none outlives the service; kill busy ones, which may never finish."""
+        if self._inflight or self._orphans:
+            self._kill_pool()
+        elif self._executor is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
         self.queue.close()
 
     def __enter__(self) -> "CampaignService":

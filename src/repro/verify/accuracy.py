@@ -1,6 +1,7 @@
 """Accuracy tracking (Figure 19).
 
-Two studies:
+Two studies, run through an :class:`~repro.analysis.runner.ExperimentRunner`
+and rendered by :func:`repro.analysis.figures.fig19_accuracy`:
 
 - :func:`version_estimate_history` — the upper graph: performance
   estimates of model versions v1…v8 on SPEC CPU2000 traces, normalised to
@@ -10,22 +11,24 @@ Two studies:
 - :func:`accuracy_history` — the lower graph: model error against the
   "physical machine" over the verification phase.  With no silicon
   available, the physical machine is the final model run on a *different
-  seed* of each workload — so the terminal error is the honest sampling
-  error (paper: 3.9% for SPECfp2000, 4.2% for SPECint2000), not a
-  trivially zero self-comparison.  Intermediate phases carry the kinds of
-  memory-system parameter mistakes the paper describes being fixed
-  ("memory access latency, bus width, and outstanding numbers").
+  sample* of each workload (:func:`machine_workload`) — so the terminal
+  error is the honest sampling error (paper: 3.9% for SPECfp2000, 4.2%
+  for SPECint2000), not a trivially zero self-comparison.  Intermediate
+  phases carry the kinds of memory-system parameter mistakes the paper
+  describes being fixed ("memory access latency, bus width, and
+  outstanding numbers").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
+from repro.analysis.runner import ExperimentRunner
+from repro.analysis.workloads import Workload
 from repro.memory.params import BusParams, MemoryParams
 from repro.model.config import MachineConfig, base_config
-from repro.model.simulator import PerformanceModel
-from repro.analysis.workloads import Workload, workload_by_name
+from repro.verify.fidelity import MODEL_VERSIONS, model_version
 
 #: Machine-seed offset: the "physical machine" executes a different
 #: sample of the same workload than the traces fed to the model.
@@ -34,72 +37,73 @@ MACHINE_SEED_OFFSET = 7919
 
 @dataclass
 class AccuracyPoint:
-    """One (phase, workload) accuracy measurement."""
+    """One (phase, workload) accuracy measurement; ``None`` cycles mark a
+    run the failure policy abandoned."""
 
     phase: str
     workload: str
-    model_cycles: int
-    machine_cycles: int
+    model_cycles: Optional[int]
+    machine_cycles: Optional[int]
 
     @property
-    def error(self) -> float:
+    def error(self) -> Optional[float]:
         """Relative cycle error of the model versus the machine."""
+        if self.model_cycles is None or self.machine_cycles is None:
+            return None
         if self.machine_cycles == 0:
             return 0.0
         return (self.model_cycles - self.machine_cycles) / self.machine_cycles
 
     @property
-    def abs_error(self) -> float:
-        return abs(self.error)
+    def abs_error(self) -> Optional[float]:
+        return None if self.error is None else abs(self.error)
 
 
-def _run_cycles(config: MachineConfig, workload: Workload) -> int:
-    result = PerformanceModel(config).run(
-        workload.trace(),
-        warmup_fraction=workload.warmup_fraction,
-        regions=workload.regions(),
-    )
-    return result.cycles
+def machine_workload(workload: Workload) -> Workload:
+    """The machine's sample of ``workload``: the same profile, seed and
+    sizes, another dynamic sample, and no trace cached yet."""
+    seed = workload.seed + MACHINE_SEED_OFFSET
+    return replace(workload, sample_seed=seed, _generator=None, _trace=None)
+
+
+def _cycles(
+    runner: ExperimentRunner, config: MachineConfig, workload: Workload
+) -> Optional[int]:
+    result = runner.try_run(config, workload)
+    return None if result is None else result.cycles
 
 
 def version_estimate_history(
-    workload_names: Optional[List[str]] = None,
-    timed: int = 25_000,
-    warm: int = 100_000,
-) -> Dict[str, Dict[str, float]]:
+    workloads: List[Workload], runner: ExperimentRunner
+) -> Dict[str, Dict[str, Optional[float]]]:
     """Fig. 19 (upper): per-version performance relative to v8.
 
     Returns ``{workload: {version: perf_ratio}}`` where performance is
-    1/cycles normalised so v8 = 1.0.
+    1/cycles normalised so v8 = 1.0; ``None`` where a run was abandoned.
     """
-    from repro.verify.fidelity import MODEL_VERSIONS, model_version
-
-    workload_names = workload_names or ["SPECint2000", "SPECfp2000"]
-    history: Dict[str, Dict[str, float]] = {}
-    for name in workload_names:
-        workload = workload_by_name(name, warm=warm, timed=timed)
-        cycles = {
-            label: _run_cycles(model_version(label), workload)
-            for label in MODEL_VERSIONS
-        }
-        v8_cycles = cycles["v8"]
-        history[name] = {
-            label: v8_cycles / value if value else 0.0
+    versions = [model_version(label) for label in MODEL_VERSIONS]
+    runner.prefetch(up=[(config, w) for w in workloads for config in versions])
+    history: Dict[str, Dict[str, Optional[float]]] = {}
+    for workload in workloads:
+        cycles = {c.name: _cycles(runner, c, workload) for c in versions}
+        v8 = cycles["v8"]
+        history[workload.name] = {
+            label: None if v8 is None or value is None else v8 / value if value else 0.0
             for label, value in cycles.items()
         }
     return history
 
 
-def _phase_configs(final: MachineConfig) -> List[MachineConfig]:
-    """Hardware-parameter states across the verification phase.
+def _phase_configs(final: MachineConfig) -> Dict[str, MachineConfig]:
+    """Hardware-parameter states across the verification phase, by label.
 
     Each phase fixes one class of memory-system parameter mistakes, the
     way the paper describes the lower graph's abrupt changes.
     """
-    return [
+    return {
         # Phase A: processor-side latencies optimistic, memory latency
         # badly underestimated, bus width wrong.
-        final.derived(
+        "phaseA": final.derived(
             "phaseA",
             l1d=final.l1d.scaled(hit_latency=final.l1d.hit_latency - 1),
             l2=final.l2.scaled(hit_latency=final.l2.hit_latency - 4),
@@ -109,13 +113,13 @@ def _phase_configs(final: MachineConfig) -> List[MachineConfig]:
         ),
         # Phase B: L1 latency corrected; L2/memory still off, outstanding
         # numbers (MSHRs) wrong.
-        final.derived(
+        "phaseB": final.derived(
             "phaseB",
             l2=final.l2.scaled(mshr_count=4, hit_latency=final.l2.hit_latency - 2),
             l1d=final.l1d.scaled(mshr_count=2),
         ),
         # Phase C: near-final; only system-bus latency is slightly off.
-        final.derived(
+        "phaseC": final.derived(
             "phaseC",
             system_bus=BusParams(
                 "system",
@@ -123,37 +127,31 @@ def _phase_configs(final: MachineConfig) -> List[MachineConfig]:
                 bytes_per_cycle=final.system_bus.bytes_per_cycle,
             ),
         ),
-        # Final: all parameters reflect the built machine.
-        final.derived("final"),
-    ]
+        # Final: all parameters reflect the built machine.  This is the
+        # upper graph's v8 model, so its runs are v8's runs.
+        "final": model_version("v8", final),
+    }
 
 
 def accuracy_history(
-    workload_names: Optional[List[str]] = None,
-    timed: int = 25_000,
-    warm: int = 100_000,
-    final_config: Optional[MachineConfig] = None,
+    workloads: List[Workload], runner: ExperimentRunner
 ) -> List[AccuracyPoint]:
     """Fig. 19 (lower): model-vs-machine error over verification phases."""
-    workload_names = workload_names or ["SPECint2000", "SPECfp2000"]
-    final = final_config or base_config()
+    final = base_config()
+    machine = final.derived("machine")
+    phases = _phase_configs(final)
+    samples = [machine_workload(w) for w in workloads]
+    runner.prefetch(
+        up=[(machine, sample) for sample in samples]
+        + [(config, w) for w in workloads for config in phases.values()]
+    )
     points: List[AccuracyPoint] = []
-    for name in workload_names:
-        model_workload = workload_by_name(name, warm=warm, timed=timed)
-        machine_workload = workload_by_name(
-            name,
-            sample_seed=model_workload.seed + MACHINE_SEED_OFFSET,
-            warm=warm,
-            timed=timed,
-        )
-        machine_cycles = _run_cycles(final.derived("machine"), machine_workload)
-        for config in _phase_configs(final):
-            points.append(
-                AccuracyPoint(
-                    phase=config.name,
-                    workload=name,
-                    model_cycles=_run_cycles(config, model_workload),
-                    machine_cycles=machine_cycles,
-                )
+    for workload, sample in zip(workloads, samples):
+        machine_cycles = _cycles(runner, machine, sample)
+        points += [
+            AccuracyPoint(
+                phase, workload.name, _cycles(runner, config, workload), machine_cycles
             )
+            for phase, config in phases.items()
+        ]
     return points

@@ -1,5 +1,9 @@
 """Tests for the experiment harness (small-scale figure runs)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.analysis import (
@@ -13,6 +17,7 @@ from repro.analysis import (
     fig14_15_l2,
     fig16_17_prefetch,
     fig18_reservation,
+    fig19_accuracy,
     smp_workload,
     spec_workloads,
     standard_workloads,
@@ -118,10 +123,28 @@ class TestFigureFunctions:
         for ratio in result.ratios.values():
             assert 0.9 < ratio < 1.1
 
+    def test_import_leaves_verify_unloaded(self):
+        # Figure 19 imports repro.verify (reverse tracer, ISA executor) on
+        # use; importing the analysis layer, as every command does, must not.
+        import repro
+
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__))}
+        script = "import sys, repro.analysis; sys.exit('repro.verify' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", script], env=env, timeout=60)
+        assert proc.returncode == 0
+
 
 def _fig14_with_2p(workloads, runner):
     smp = smp_workload(2, warm=2000, timed=800)
     return fig14_15_l2(workloads, runner, smp_cpus=2, smp_workload_override=smp)
+
+
+def _fig19_spec2000(workloads, runner):
+    spec2000 = [
+        workload_by_name(name, warm=2000, timed=800)
+        for name in ("SPECint2000", "SPECfp2000")
+    ]
+    return fig19_accuracy(spec2000, runner)
 
 
 class TestPartialFigures:
@@ -129,18 +152,24 @@ class TestPartialFigures:
     ``partial:`` footnote in every figure instead of raising."""
 
     @pytest.mark.parametrize(
-        "figure, match",
+        "figure, match, missing, intact",
         [
-            (fig07_characteristics, "SPECfp95@SPARC64-V+perfectL2"),
-            (fig_cpistack, "SPECfp95@SPARC64-V"),
-            (fig09_10_bht, "SPECfp95@bht-4k"),
-            (fig11_12_13_l1, "SPECfp95@l1-32k"),
-            (_fig14_with_2p, "x2P@l2-off.8m-1w"),
-            (fig16_17_prefetch, "SPECfp95@no-prefetch"),
+            (fig07_characteristics, "SPECfp95@SPARC64-V+perfectL2", "SPECfp95", "SPECint95"),
+            (fig_cpistack, "SPECfp95@SPARC64-V", "SPECfp95", "SPECint95"),
+            (fig09_10_bht, "SPECfp95@bht-4k", "SPECfp95", "SPECint95"),
+            (fig11_12_13_l1, "SPECfp95@l1-32k", "SPECfp95", "SPECint95"),
+            (_fig14_with_2p, "x2P@l2-off.8m-1w", "TPC-C (2P)", "SPECint95"),
+            (fig16_17_prefetch, "SPECfp95@no-prefetch", "SPECfp95", "SPECint95"),
+            (_fig19_spec2000, "SPECfp2000@v8", "SPECfp2000", "SPECint2000"),
         ],
-        ids=["fig07", "cpistack", "fig09_10", "fig11_12_13", "fig14_15", "fig16_17"],
+        ids=[
+            "fig07", "cpistack", "fig09_10", "fig11_12_13", "fig14_15", "fig16_17",
+            "fig19",
+        ],
     )
-    def test_abandoned_point_renders_partial_table(self, figure, match, tmp_path):
+    def test_abandoned_point_renders_partial_table(
+        self, figure, match, missing, intact, tmp_path
+    ):
         workloads = [
             workload_by_name(name, warm=2000, timed=800)
             for name in ("SPECint95", "SPECfp95")
@@ -160,12 +189,11 @@ class TestPartialFigures:
             faults.reset()
             runner.close()
         assert len(runner.stats.skipped) == 1
-        missing = "TPC-C (2P)" if match.startswith("x2P") else "SPECfp95"
         assert f"partial: 1 workload(s) skipped after repeated failures ({missing})" in table
         rows = [line for line in table.splitlines() if line.startswith(missing)]
         assert rows and all("n/a" in row for row in rows)
         assert not any(
-            "n/a" in line for line in table.splitlines() if line.startswith("SPECint95")
+            "n/a" in line for line in table.splitlines() if line.startswith(intact)
         )
 
 

@@ -150,6 +150,7 @@ def _results(value):
     """One hand-built result per claimed figure with every point at
     ``value``; ``None`` marks every point abandoned."""
     from repro.analysis.figures import (
+        AccuracyResult,
         BhtStudyResult,
         Fig07Result,
         L1StudyResult,
@@ -157,6 +158,7 @@ def _results(value):
         PrefetchStudyResult,
     )
     from repro.model.perfect import StallBreakdown
+    from repro.verify.fidelity import MODEL_VERSIONS
 
     column = dict.fromkeys(NAMES, value)
     l2_rows = {
@@ -175,6 +177,13 @@ def _results(value):
         "14": L2StudyResult(l2_rows, l2_rows),
         "16": PrefetchStudyResult(_ratios(value), *(dict(column) for _ in range(3))),
         "18": _ratios(value),
+        "19": AccuracyResult(
+            {n: dict.fromkeys(MODEL_VERSIONS, value) for n in ("SPECint2000", "SPECfp2000")},
+            {
+                n: dict.fromkeys(["phaseA", "phaseB", "phaseC", "final"], value)
+                for n in ("SPECint2000", "SPECfp2000")
+            },
+        ),
     }
 
 

@@ -4,9 +4,9 @@ from dataclasses import replace
 
 import pytest
 
+from repro.analysis import Workload, fig07_characteristics
 from repro.common.errors import ConfigError
 from repro.model.config import base_config
-from repro.model.perfect import stall_breakdown
 from repro.model.simulator import PerformanceModel
 from repro.trace.stream import Trace
 from repro.trace.synth import TraceGenerator, standard_profiles
@@ -70,13 +70,12 @@ class TestRun:
 class TestPerfectStructures:
     @pytest.fixture(scope="class")
     def breakdown(self):
-        profile = standard_profiles()["SPECint95"]
-        generator = TraceGenerator(profile, seed=11)
-        trace = generator.generate(20_000)
-        return stall_breakdown(
-            base_config(), trace, warmup_fraction=0.5,
-            regions=generator.memory_regions(),
+        workload = Workload(
+            "SPECint95", standard_profiles()["SPECint95"], seed=11,
+            warm_instructions=10_000, timed_instructions=10_000,
         )
+        [breakdown] = fig07_characteristics([workload]).breakdowns
+        return breakdown
 
     def test_sums_to_one(self, breakdown):
         total = breakdown.core + breakdown.branch + breakdown.ibs_tlb + breakdown.sx

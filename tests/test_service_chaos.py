@@ -12,6 +12,9 @@ execution can change a single statistic.
 
 from __future__ import annotations
 
+import multiprocessing.util
+import time
+
 import pytest
 
 from repro.analysis.policy import RunPolicy
@@ -59,6 +62,15 @@ def _service_stats(service: CampaignService, key: str) -> dict:
     payload = service.result(key)
     assert payload is not None, "service result missing from store"
     return sim_result_from_dict(payload).as_dict(include_speed=False)
+
+
+class _Lingering:
+    """Keeps :func:`_linger_at_exit` registered for forks while alive."""
+
+
+def _linger_at_exit(_: _Lingering) -> None:
+    # Runs in a freshly forked worker: delay its exit by half a second.
+    multiprocessing.util.Finalize(None, time.sleep, args=(0.5,), exitpriority=0)
 
 
 class TestChaosBitIdentity:
@@ -278,6 +290,35 @@ class TestCrashRecovery:
 
 
 class TestDegradation:
+    def test_close_waits_for_idle_workers(self, tmp_path):
+        """No worker of a drained service outlives ``close()`` (one that
+        did could trip over the pool's closed pipes at interpreter exit).
+        Each worker lingers on its way out, so a ``close()`` that does not
+        wait for its workers finds them alive."""
+        lingering = _Lingering()
+        multiprocessing.util.register_after_fork(lingering, _linger_at_exit)
+        service = _service(tmp_path)
+        service.submit_point("SPECint95", warm=WARM, timed=TIMED)
+        service.run()
+        processes = list(service._executor._processes.values())
+        assert processes
+        service.close()
+        assert not any(process.is_alive() for process in processes)
+
+    def test_close_kills_busy_workers(self, tmp_path):
+        """A worker still running at ``close()`` is killed, not waited for."""
+        faults.install_spec("worker-hang,times=1,hang=60")
+        service = _service(tmp_path)
+        service.submit_point("SPECint95", warm=WARM, timed=TIMED)
+        service.step()
+        processes = list(service._executor._processes.values())
+        started = time.monotonic()
+        service.close()
+        assert time.monotonic() - started < 10
+        for process in processes:
+            process.join(timeout=10)
+        assert not any(process.is_alive() for process in processes)
+
     def test_bounded_queue_sheds_local_submissions(self, tmp_path):
         service = _service(tmp_path, capacity=1)
         service.submit_point("SPECint95", warm=WARM, timed=TIMED)

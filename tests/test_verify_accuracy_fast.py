@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.analysis import ExperimentRunner, workload_by_name
 from repro.verify.accuracy import (
     MACHINE_SEED_OFFSET,
     AccuracyPoint,
     accuracy_history,
+    machine_workload,
     version_estimate_history,
 )
 
@@ -23,10 +25,16 @@ class TestAccuracyPoint:
 
 class TestHistories:
     @pytest.fixture(scope="class")
-    def upper(self):
-        return version_estimate_history(
-            workload_names=["SPECint2000"], timed=4000, warm=12000
-        )
+    def runner(self):
+        return ExperimentRunner()
+
+    @pytest.fixture(scope="class")
+    def workloads(self):
+        return [workload_by_name("SPECint2000", warm=12000, timed=4000)]
+
+    @pytest.fixture(scope="class")
+    def upper(self, workloads, runner):
+        return version_estimate_history(workloads, runner)
 
     def test_upper_has_all_versions(self, upper):
         assert list(upper["SPECint2000"]) == [f"v{i}" for i in range(1, 9)]
@@ -38,23 +46,17 @@ class TestHistories:
         # The latency-only model can only over-estimate performance.
         assert upper["SPECint2000"]["v1"] >= 0.99
 
-    def test_lower_phases_ordered(self):
-        points = accuracy_history(
-            workload_names=["SPECint2000"], timed=4000, warm=12000
-        )
+    def test_lower_phases_ordered(self, workloads, runner, upper):
+        points = accuracy_history(workloads, runner)
         phases = [point.phase for point in points]
         assert phases == ["phaseA", "phaseB", "phaseC", "final"]
+        # The final phase reads v8's run: 8 versions, 3 phases, the machine.
+        assert len(runner.cached_results()) == 12
 
     def test_machine_uses_different_sample(self):
-        from repro.analysis.workloads import workload_by_name
-
         model = workload_by_name("SPECint2000", warm=1000, timed=500)
-        machine = workload_by_name(
-            "SPECint2000",
-            sample_seed=model.seed + MACHINE_SEED_OFFSET,
-            warm=1000,
-            timed=500,
-        )
+        machine = machine_workload(model)
+        assert machine.sample_seed == model.seed + MACHINE_SEED_OFFSET
         model_trace = model.trace()
         machine_trace = machine.trace()
         # Same static program (same pcs appear)...
