@@ -625,11 +625,12 @@ def fig19_accuracy(
     runs another sample of each (:mod:`repro.verify.accuracy`)."""
     # Imported on use: repro.verify also loads the reverse tracer and the
     # ISA executor, which nothing else in the analysis layer needs.
-    from repro.verify.accuracy import accuracy_history, version_estimate_history
+    from repro.verify.accuracy import accuracy_history, fig19_runs, version_estimate_history
 
     spec2000 = ("SPECint2000", "SPECfp2000")
     workloads = [w for w in workloads or standard_workloads() if w.name in spec2000]
     runner = runner or ExperimentRunner()
+    runner.prefetch(up=fig19_runs(workloads))
     errors: Dict[str, Dict[str, Optional[float]]] = {}
     for point in accuracy_history(workloads, runner):
         errors.setdefault(point.workload, {})[point.phase] = point.error

@@ -22,7 +22,7 @@ and rendered by :func:`repro.analysis.figures.fig19_accuracy`:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.runner import ExperimentRunner
 from repro.analysis.workloads import Workload
@@ -80,9 +80,9 @@ def version_estimate_history(
 
     Returns ``{workload: {version: perf_ratio}}`` where performance is
     1/cycles normalised so v8 = 1.0; ``None`` where a run was abandoned.
+    Prefetch :func:`fig19_runs` first to fan the runs out over workers.
     """
     versions = [model_version(label) for label in MODEL_VERSIONS]
-    runner.prefetch(up=[(config, w) for w in workloads for config in versions])
     history: Dict[str, Dict[str, Optional[float]]] = {}
     for workload in workloads:
         cycles = {c.name: _cycles(runner, c, workload) for c in versions}
@@ -140,14 +140,9 @@ def accuracy_history(
     final = base_config()
     machine = final.derived("machine")
     phases = _phase_configs(final)
-    samples = [machine_workload(w) for w in workloads]
-    runner.prefetch(
-        up=[(machine, sample) for sample in samples]
-        + [(config, w) for w in workloads for config in phases.values()]
-    )
     points: List[AccuracyPoint] = []
-    for workload, sample in zip(workloads, samples):
-        machine_cycles = _cycles(runner, machine, sample)
+    for workload in workloads:
+        machine_cycles = _cycles(runner, machine, machine_workload(workload))
         points += [
             AccuracyPoint(
                 phase, workload.name, _cycles(runner, config, workload), machine_cycles
@@ -155,3 +150,14 @@ def accuracy_history(
             for phase, config in phases.items()
         ]
     return points
+
+
+def fig19_runs(workloads: List[Workload]) -> List[Tuple[MachineConfig, Workload]]:
+    """Every run of both histories, for one prefetch: each model version and
+    verification phase on each workload, and the machine on its sample."""
+    final = base_config()
+    models = [model_version(label) for label in MODEL_VERSIONS]
+    models += _phase_configs(final).values()
+    return [(config, w) for w in workloads for config in models] + [
+        (final.derived("machine"), machine_workload(w)) for w in workloads
+    ]
