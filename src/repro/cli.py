@@ -381,7 +381,7 @@ def _cmd_cache(args: argparse.Namespace) -> None:
 def _cmd_analyze(args: argparse.Namespace) -> None:
     """Render analyses from cached results without re-simulating."""
     from repro.analysis import ResultCache
-    from repro.model.stats import SimResult
+    from repro.model.stats import sim_result_from_dict
     from repro.observe import render_stack_table
 
     if args.what != "cpistack":  # future-proofing; argparse already limits
@@ -391,7 +391,7 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
     stacks = {}
     for meta, payload in cache.scan():
         try:
-            result = SimResult.from_dict(payload)
+            result = sim_result_from_dict(payload)
         except (ValueError, TypeError, KeyError):
             continue  # an SMP or foreign payload; only UP runs render here
         if not result.core.cpi_stack:
@@ -649,9 +649,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="delete all cached results")
     p_cache.set_defaults(func=_cmd_cache)
 
-    p_trace = sub.add_parser("trace", help="generate a synthetic trace file")
+    p_trace = sub.add_parser("trace", help="write a synthetic trace to a framed .trc file")
     p_trace.add_argument("workload")
-    p_trace.add_argument("output", help=".jsonl or .trc path")
+    p_trace.add_argument("output", help="output path; must end in .trc")
     p_trace.add_argument("--length", type=int, default=100_000)
     p_trace.add_argument("--seed", type=int, default=2003)
     p_trace.set_defaults(func=_cmd_trace)

@@ -91,6 +91,27 @@ class TestFiguresGate:
             main(["figures", "10"])
 
 
+class TestAnalyze:
+    def test_cpistack_lists_full_and_sampled_runs(self, tmp_path, capsys):
+        from repro.analysis import ResultCache
+        from repro.analysis.runner import ExperimentRunner
+        from repro.analysis.workloads import workload_by_name
+        from repro.model.config import base_config
+        from repro.trace.sampling import SamplingPlan
+
+        runner = ExperimentRunner()
+        runner.cache = ResultCache(str(tmp_path))
+        runner.run(base_config(), workload_by_name("SPECint95", warm=2000, timed=1000))
+        sampled = workload_by_name("TPC-C", warm=0, timed=6000)
+        sampled.sampling = SamplingPlan(period=2000, sample_length=300, warmup=400)
+        runner.run(base_config(), sampled)
+        main(["analyze", "cpistack", "--cache-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert "2 cached run(s)" in out
+        assert "SPECint95@SPARC64-V" in out
+        assert "TPC-C@SPARC64-V" in out
+
+
 class TestServiceCommands:
     def test_submit_serve_status_roundtrip(self, tmp_path, capsys):
         queue = str(tmp_path / "q.jsonl")

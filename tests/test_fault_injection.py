@@ -6,8 +6,8 @@ failure classes the pipeline claims to survive —
 1. a worker process that *crashes* (``os._exit``, like a SIGKILL/OOM),
 2. a worker that *hangs* (caught by the wall-clock watchdog),
 3. a *corrupt result-cache entry* (detected, deleted, recomputed),
-4. a *damaged trace file* (truncation and bit-flips; typed errors or
-   counted drops in ``skip_corrupt`` mode)
+4. a *damaged trace file* (truncation and bit-flips raise a typed
+   :class:`~repro.common.errors.TraceError`)
 
 — and asserts that the recovered statistics are bit-identical to a
 clean serial run, plus that an interrupted sweep campaign rerun against
@@ -25,7 +25,7 @@ from repro.analysis.workloads import workload_by_name
 from repro.common import faults
 from repro.common.errors import ConfigError, InjectedFault, TraceError
 from repro.model.config import base_config
-from repro.trace.io import last_read_report, read_trace, write_trace
+from repro.trace.io import read_trace, write_trace
 from repro.trace.record import make_load
 from repro.trace.stream import Trace
 
@@ -185,17 +185,6 @@ class TestDamagedTraces:
         with pytest.raises(TraceError, match=r"truncated|mismatch"):
             read_trace(path)
 
-    def test_truncated_trace_salvage_counts_drops(self, tmp_path):
-        path = tmp_path / "t.trc"
-        faults.install_spec("trace-truncate,times=1")
-        write_trace(_sample_trace(200), path)
-        faults.install_spec(None)
-        salvaged = read_trace(path, skip_corrupt=True)
-        report = last_read_report()
-        assert 0 < len(salvaged) < 200
-        assert report.dropped == 200 - len(salvaged)
-        assert not report.clean
-
     def test_bitflipped_trace_fails_loudly(self, tmp_path):
         """Failure class 4b: a single flipped bit anywhere past the magic."""
         path = tmp_path / "t.trc"
@@ -210,7 +199,6 @@ class TestDamagedTraces:
         write_trace(_sample_trace(), path)
         loaded = read_trace(path)
         assert len(loaded) == 200
-        assert last_read_report().clean
 
 
 class TestResumableCampaign:

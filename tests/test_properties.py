@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.workloads import smp_workload, standard_workloads, workload_by_name
-from repro.common.errors import SimulationError
+from repro.common.errors import SimulationError, TraceError
 from repro.common.rng import DeterministicRng
 from repro.memory.bus import Bus
 from repro.memory.cache import CacheStats, EvictedLine, LineState, SetAssociativeCache
@@ -459,15 +459,29 @@ record_strategy = st.builds(
 )
 
 
-@given(st.lists(record_strategy, max_size=50))
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_trace_io_roundtrip(tmp_path_factory, records):
+@given(
+    st.lists(record_strategy, max_size=50),
+    st.booleans(),
+    st.integers(min_value=0),
+    st.integers(min_value=1, max_value=255),
+)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_trace_io_roundtrip(tmp_path_factory, records, truncate, position, mask):
     trace = Trace(records, name="prop", cpu=1)
-    directory = tmp_path_factory.mktemp("io")
-    for suffix in (".jsonl", ".trc"):
-        path = directory / f"t{suffix}"
-        write_trace(trace, path)
-        assert read_trace(path).records == trace.records
+    path = tmp_path_factory.mktemp("io") / "t.trc"
+    write_trace(trace, path)
+    assert read_trace(path).records == trace.records
+    # Damage: a random truncation point or one flipped byte must raise
+    # TraceError, never struct.error or any other exception.
+    data = bytearray(path.read_bytes())
+    position %= len(data)
+    if truncate:
+        del data[position:]
+    else:
+        data[position] ^= mask
+    path.write_bytes(bytes(data))
+    with pytest.raises(TraceError):
+        read_trace(path)
 
 
 # ---------------------------------------------------------------------------
