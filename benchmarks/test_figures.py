@@ -1,6 +1,8 @@
-"""Figures 7-18: every figure of the paper's §4, regenerated and graded.
+"""Every figure of ``repro figures``, regenerated and graded.
 
-One benchmark per figure key of ``repro figures``: it runs the figure
+One benchmark per key of ``FIGURES``: Figs. 7, 8, 9 (with 10), 11 (with
+12 and 13), 14 (with 15), 16 (with 17), 18 and 19, ``ablations`` (§3's
+techniques switched off one at a time) and ``cpistack``.  It runs the figure
 at benchmark scale, prints its table and its claim verdicts (run with
 ``-s`` to see them), and fails when a verdict fails the claims ledger's
 gate (``repro.analysis.claims``): a FAIL, or a known gap that no longer

@@ -27,6 +27,7 @@ from repro.analysis.figures import (
     fig16_17_prefetch,
     fig18_reservation,
     fig19_accuracy,
+    sec3_ablations,
 )
 from repro.analysis.characterize import characterize_trace, characterize_workload
 from repro.analysis.sweeps import (
@@ -58,6 +59,7 @@ __all__ = [
     "fig16_17_prefetch",
     "fig18_reservation",
     "fig19_accuracy",
+    "sec3_ablations",
     "characterize_trace",
     "characterize_workload",
     "l2_size_sweep",

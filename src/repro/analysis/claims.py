@@ -1,4 +1,5 @@
-"""The claims ledger: every paper shape of §4 and Fig. 19, graded from one table.
+"""The claims ledger: every paper shape of §3's ablations, §4 and Fig. 19,
+graded from one table.
 
 Each :class:`Claim` row is one statement of the paper, with the paper's
 number where the text gives one.  It names the figure of
@@ -323,6 +324,21 @@ CLAIMS: Tuple[Claim, ...] = (
               for row in r.errors.values()
           ),
           at_most(0.02)),
+    Claim("sec3.speculative-dispatch", "ablations",
+          "speculative dispatch pays off on SPECint95 (IPC with/without)",
+          lambda r: _at(r.ratios, "speculative dispatch"), at_least(1.0), fmt="{:.4f}"),
+    Claim("sec3.data-forwarding", "ablations",
+          "data forwarding pays off on SPECint95 (IPC with/without)",
+          lambda r: _at(r.ratios, "data forwarding"), above(1.0), fmt="{:.4f}"),
+    Claim("sec3.dual-operand-access", "ablations",
+          "two L1D accesses per cycle pay off on TPC-C (IPC dual/single port)",
+          lambda r: _at(r.ratios, "dual L1D port"), at_least(1.0), fmt="{:.4f}"),
+    Claim("sec3.banking-cost", "ablations",
+          "8x4 B banking costs TPC-C against an ideal array (IPC banked/unbanked)",
+          lambda r: _at(r.ratios, "8x4 B banking"), at_most(1.0), fmt="{:.4f}"),
+    Claim("sec3.non-blocking-caches", "ablations",
+          "non-blocking caches pay off on TPC-C (IPC with/without)",
+          lambda r: _at(r.ratios, "non-blocking caches"), at_least(1.0), fmt="{:.4f}"),
 )
 
 CLAIMS_BY_ID: Dict[str, Claim] = {claim.id: claim for claim in CLAIMS}

@@ -1,4 +1,5 @@
-"""Reproduction functions, one per figure of the paper's §4.
+"""Reproduction functions, one per figure of the paper's §4, plus §3's
+ablations.
 
 Each function runs the necessary (configuration × workload) matrix on an
 :class:`~repro.analysis.runner.ExperimentRunner` and returns a result
@@ -638,6 +639,78 @@ def fig19_accuracy(
 
 
 # ---------------------------------------------------------------------------
+# §3 ablations — the design techniques the paper argues for.
+# ---------------------------------------------------------------------------
+
+
+def _sec3_ablated(base: MachineConfig) -> Dict[str, Tuple[str, MachineConfig]]:
+    """§3 technique -> (the workload it is measured on, ``base`` without it)."""
+    core, l1d, l2 = base.core, base.l1d, base.l2
+    return {
+        "speculative dispatch": ("SPECint95", base.derived(
+            "no-speculative-dispatch", core=core.derived(speculative_dispatch=False))),
+        "data forwarding": ("SPECint95", base.derived(
+            "no-forwarding", core=core.derived(data_forwarding=False))),
+        "dual L1D port": ("TPC-C", base.derived(
+            "single-port", core=core.derived(l1d_ports=1))),
+        "8x4 B banking": ("TPC-C", base.derived("unbanked", l1d=l1d.scaled(banks=1))),
+        "non-blocking caches": ("TPC-C", base.derived(
+            "blocking", l1d=l1d.scaled(mshr_count=1), l2=l2.scaled(mshr_count=1))),
+    }
+
+
+@dataclass
+class AblationResult:
+    """IPC of the base machine over IPC without each §3 technique."""
+
+    workloads: Dict[str, str]  # technique -> workload it ran on
+    ratios: Dict[str, Optional[float]]  # technique -> ratio; None: abandoned
+
+    @property
+    def missing(self) -> List[str]:
+        return [name for name, ratio in self.ratios.items() if ratio is None]
+
+    def format_table(self) -> str:
+        rows = [
+            (name, self.workloads[name], cell(ratio),
+             cell(None if ratio is None else ratio - 1.0, 2))
+            for name, ratio in self.ratios.items()
+        ]
+        return (
+            "§3 ablations: IPC with each technique relative to without it\n"
+            + format_table(["technique", "workload", "with/without", "delta"], rows)
+            + partial_note(self.missing, "technique")
+        )
+
+
+def sec3_ablations(
+    workloads: Optional[List[Workload]] = None,
+    runner: Optional[ExperimentRunner] = None,
+) -> AblationResult:
+    """§3's techniques, each switched off on the SPECint95 or TPC-C row of
+    ``workloads``."""
+    by_name = {w.name: w for w in workloads or standard_workloads()}
+    runner = runner or ExperimentRunner()
+    base = base_config()
+    ablations = _sec3_ablated(base)
+    runner.prefetch(up=[
+        (config, by_name[name])
+        for name, ablated in ablations.values()
+        for config in (base, ablated)
+    ])
+    ratios: Dict[str, Optional[float]] = {}
+    for technique, (name, ablated) in ablations.items():
+        with_it = runner.try_run(base, by_name[name])
+        without = runner.try_run(ablated, by_name[name])
+        ratios[technique] = (
+            None if with_it is None or without is None else ipc_ratio(with_it, without)
+        )
+    return AblationResult(
+        {technique: name for technique, (name, _) in ablations.items()}, ratios
+    )
+
+
+# ---------------------------------------------------------------------------
 # The figure registry ``repro figures``, the claims ledger and the figure
 # benchmarks share.
 # ---------------------------------------------------------------------------
@@ -652,6 +725,7 @@ FIGURES: Dict[str, Callable[..., Any]] = {
     "16": fig16_17_prefetch,
     "18": fig18_reservation,
     "19": fig19_accuracy,
+    "ablations": sec3_ablations,
     "cpistack": fig_cpistack,
 }
 

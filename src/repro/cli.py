@@ -4,10 +4,10 @@ Commands:
 
 - ``table1`` — print the production machine configuration.
 - ``run`` — simulate one workload on one configuration.
-- ``figures`` — regenerate one or all of the paper's figures and grade
-  the paper's claims about them, exiting 1 when a claim fails
-  (``--jobs N`` fans independent runs over worker processes; results
-  persist in ``.repro_cache/``).
+- ``figures`` — regenerate one or all of the paper's figures (and §3's
+  ablations) and grade the paper's claims about them, exiting 1 when a
+  claim fails (``--jobs N`` fans independent runs over worker processes;
+  results persist in ``.repro_cache/``).
 - ``sweeps`` — run the supplemental parameter sweeps (same knobs).
 - ``analyze`` — render analyses (e.g. CPI stacks) from cached results
   without re-simulating.
@@ -380,8 +380,10 @@ def _cmd_cache(args: argparse.Namespace) -> None:
 
 def _cmd_analyze(args: argparse.Namespace) -> None:
     """Render analyses from cached results without re-simulating."""
+    from collections import Counter
+
     from repro.analysis import ResultCache
-    from repro.model.stats import sim_result_from_dict
+    from repro.model.stats import SampledSimResult, sim_result_from_dict
     from repro.observe import render_stack_table
 
     if args.what != "cpistack":  # future-proofing; argparse already limits
@@ -389,6 +391,7 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
 
     cache = ResultCache(args.cache_dir)
     stacks = {}
+    seen = Counter()
     for meta, payload in cache.scan():
         try:
             result = sim_result_from_dict(payload)
@@ -402,7 +405,15 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
             continue
         if args.config and config != args.config:
             continue
-        stacks[f"{workload}@{config}"] = result.core.cpi_stack
+        # One row per entry: runs of one point at other lengths or
+        # sampling plans get numbered rather than overwriting each other.
+        label = f"{workload}@{config}"
+        if isinstance(result, SampledSimResult):
+            label += " (sampled)"
+        seen[label] += 1
+        if seen[label] > 1:
+            label += f" #{seen[label]}"
+        stacks[label] = result.core.cpi_stack
     if not stacks:
         raise SystemExit(
             f"no cached CPI stacks under {cache.directory} "
@@ -610,7 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
         "figures", help="regenerate paper figures and grade their claims"
     )
     p_fig.add_argument("figure", nargs="?", default="all",
-                       help="7, 8, 9, 11, 14, 16, 18, 19, cpistack, or 'all'")
+                       help="7, 8, 9, 11, 14, 16, 18, 19, ablations, cpistack, "
+                            "or 'all'")
     p_fig.add_argument("--warm", type=int, default=100_000)
     p_fig.add_argument("--timed", type=int, default=25_000)
     p_fig.add_argument("--smp-cpus", type=int, default=16)

@@ -18,6 +18,7 @@ from repro.analysis import (
     fig16_17_prefetch,
     fig18_reservation,
     fig19_accuracy,
+    sec3_ablations,
     smp_workload,
     spec_workloads,
     standard_workloads,
@@ -147,28 +148,39 @@ def _fig19_spec2000(workloads, runner):
     return fig19_accuracy(spec2000, runner)
 
 
+def _ablations_int95_tpcc(workloads, runner):
+    ablated = [
+        workload_by_name(name, warm=2000, timed=800) for name in ("SPECint95", "TPC-C")
+    ]
+    return sec3_ablations(ablated, runner)
+
+
 class TestPartialFigures:
     """Under ``on_failure="skip"`` an abandoned point renders ``n/a`` and a
     ``partial:`` footnote in every figure instead of raising."""
 
     @pytest.mark.parametrize(
-        "figure, match, missing, intact",
+        "figure, match, missing, intact, noun",
         [
-            (fig07_characteristics, "SPECfp95@SPARC64-V+perfectL2", "SPECfp95", "SPECint95"),
-            (fig_cpistack, "SPECfp95@SPARC64-V", "SPECfp95", "SPECint95"),
-            (fig09_10_bht, "SPECfp95@bht-4k", "SPECfp95", "SPECint95"),
-            (fig11_12_13_l1, "SPECfp95@l1-32k", "SPECfp95", "SPECint95"),
-            (_fig14_with_2p, "x2P@l2-off.8m-1w", "TPC-C (2P)", "SPECint95"),
-            (fig16_17_prefetch, "SPECfp95@no-prefetch", "SPECfp95", "SPECint95"),
-            (_fig19_spec2000, "SPECfp2000@v8", "SPECfp2000", "SPECint2000"),
+            (fig07_characteristics, "SPECfp95@SPARC64-V+perfectL2", "SPECfp95",
+             "SPECint95", "workload"),
+            (fig_cpistack, "SPECfp95@SPARC64-V", "SPECfp95", "SPECint95", "workload"),
+            (fig09_10_bht, "SPECfp95@bht-4k", "SPECfp95", "SPECint95", "workload"),
+            (fig11_12_13_l1, "SPECfp95@l1-32k", "SPECfp95", "SPECint95", "workload"),
+            (_fig14_with_2p, "x2P@l2-off.8m-1w", "TPC-C (2P)", "SPECint95", "workload"),
+            (fig16_17_prefetch, "SPECfp95@no-prefetch", "SPECfp95", "SPECint95",
+             "workload"),
+            (_fig19_spec2000, "SPECfp2000@v8", "SPECfp2000", "SPECint2000", "workload"),
+            (_ablations_int95_tpcc, "TPC-C@single-port", "dual L1D port",
+             "speculative dispatch", "technique"),
         ],
         ids=[
             "fig07", "cpistack", "fig09_10", "fig11_12_13", "fig14_15", "fig16_17",
-            "fig19",
+            "fig19", "ablations",
         ],
     )
     def test_abandoned_point_renders_partial_table(
-        self, figure, match, missing, intact, tmp_path
+        self, figure, match, missing, intact, noun, tmp_path
     ):
         workloads = [
             workload_by_name(name, warm=2000, timed=800)
@@ -189,7 +201,7 @@ class TestPartialFigures:
             faults.reset()
             runner.close()
         assert len(runner.stats.skipped) == 1
-        assert f"partial: 1 workload(s) skipped after repeated failures ({missing})" in table
+        assert f"partial: 1 {noun}(s) skipped after repeated failures ({missing})" in table
         rows = [line for line in table.splitlines() if line.startswith(missing)]
         assert rows and all("n/a" in row for row in rows)
         assert not any(

@@ -64,11 +64,26 @@ class TestCompareTraces:
 
 NAMES = ["SPECint95", "SPECfp95", "SPECint2000", "SPECfp2000", "TPC-C"]
 
+#: §3 technique -> the workload ``sec3_ablations`` measures it on.
+TECHNIQUES = {
+    "speculative dispatch": "SPECint95",
+    "data forwarding": "SPECint95",
+    "dual L1D port": "TPC-C",
+    "8x4 B banking": "TPC-C",
+    "non-blocking caches": "TPC-C",
+}
+
 
 def _ratios(value, **overrides):
     from repro.analysis.figures import IpcRatioResult
 
     return IpcRatioResult("t", "base", "alt", {**dict.fromkeys(NAMES, value), **overrides})
+
+
+def _ablations(value):
+    from repro.analysis.figures import AblationResult
+
+    return AblationResult(dict(TECHNIQUES), dict.fromkeys(TECHNIQUES, value))
 
 
 def _results(value):
@@ -109,6 +124,7 @@ def _results(value):
                 for n in ("SPECint2000", "SPECfp2000")
             },
         ),
+        "ablations": _ablations(value),
     }
 
 
@@ -162,6 +178,26 @@ class TestClaimsLedger:
         assert [str(i) for i in (above(0.05), at_most(1.02), closed_open)] == [
             "> 0.05", "<= 1.02", "(0.15, 0.45]",
         ]
+
+    def test_sec3_claims_grade_at_the_interval_ends(self):
+        from repro.analysis.claims import grade_figure
+
+        def grades(value):
+            return {v.claim.id: v.grade for v in grade_figure("ablations", _ablations(value))}
+
+        # No change at all passes every claim but forwarding's strict one,
+        # and banking is the one technique expected to cost IPC.
+        assert grades(1.0) == {
+            "sec3.speculative-dispatch": "PASS",
+            "sec3.data-forwarding": "FAIL",
+            "sec3.dual-operand-access": "PASS",
+            "sec3.banking-cost": "PASS",
+            "sec3.non-blocking-caches": "PASS",
+        }
+        assert grades(1.001) == {**grades(1.0), "sec3.data-forwarding": "PASS",
+                                 "sec3.banking-cost": "FAIL"}
+        assert grades(0.999) == {**dict.fromkeys(grades(1.0), "FAIL"),
+                                 "sec3.banking-cost": "PASS"}
 
     def test_gap_claim_gates_only_when_it_stops_failing(self):
         from repro.analysis.claims import CLAIMS_BY_ID, grade_figure

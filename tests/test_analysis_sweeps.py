@@ -49,8 +49,10 @@ class TestSweeps:
     def test_smp_scaling(self, runner):
         result = smp_scaling_sweep((1, 2), runner=runner, warm=4000, timed=2000)
         assert len(result.series["system IPC"]) == 2
-        # System throughput grows with a second processor.
+        # System throughput grows with a second processor; per-CPU IPC does not.
         assert result.series["system IPC"][1] > result.series["system IPC"][0]
+        per_cpu = result.series["per-CPU IPC"]
+        assert per_cpu[-1] <= per_cpu[0] * 1.1
 
     def test_format_table(self, runner, small_int):
         result = window_size_sweep((16,), workload=small_int, runner=runner)

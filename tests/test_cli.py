@@ -111,6 +111,29 @@ class TestAnalyze:
         assert "SPECint95@SPARC64-V" in out
         assert "TPC-C@SPARC64-V" in out
 
+    def test_cpistack_keeps_full_and_sampled_runs_of_one_point(self, tmp_path, capsys):
+        from repro.analysis import ResultCache
+        from repro.analysis.runner import ExperimentRunner
+        from repro.analysis.workloads import workload_by_name
+        from repro.model.config import base_config
+        from repro.trace.sampling import SamplingPlan
+
+        runner = ExperimentRunner()
+        runner.cache = ResultCache(str(tmp_path))
+        runner.run(base_config(), workload_by_name("SPECint95", warm=2000, timed=1000))
+        sampled = workload_by_name("SPECint95", warm=0, timed=6000)
+        sampled.sampling = SamplingPlan(period=2000, sample_length=300, warmup=400)
+        runner.run(base_config(), sampled)
+        runner.run(base_config(), workload_by_name("SPECint95", warm=2000, timed=1200))
+        main(["analyze", "cpistack", "--cache-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert "3 cached run(s)" in out
+        rows = [line.split("  ")[0] for line in out.splitlines()]
+        assert sorted(row for row in rows if row.startswith("SPECint95@")) == [
+            "SPECint95@SPARC64-V", "SPECint95@SPARC64-V #2",
+            "SPECint95@SPARC64-V (sampled)",
+        ]
+
 
 class TestServiceCommands:
     def test_submit_serve_status_roundtrip(self, tmp_path, capsys):
