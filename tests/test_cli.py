@@ -92,41 +92,50 @@ class TestFiguresGate:
 
 
 class TestAnalyze:
-    def test_cpistack_lists_full_and_sampled_runs(self, tmp_path, capsys):
+    @staticmethod
+    def _cpistack(tmp_path, capsys, *workloads):
+        """Run each workload on the base machine into one cache, then
+        render ``repro analyze cpistack`` from it."""
         from repro.analysis import ResultCache
         from repro.analysis.runner import ExperimentRunner
-        from repro.analysis.workloads import workload_by_name
         from repro.model.config import base_config
-        from repro.trace.sampling import SamplingPlan
 
         runner = ExperimentRunner()
         runner.cache = ResultCache(str(tmp_path))
-        runner.run(base_config(), workload_by_name("SPECint95", warm=2000, timed=1000))
-        sampled = workload_by_name("TPC-C", warm=0, timed=6000)
-        sampled.sampling = SamplingPlan(period=2000, sample_length=300, warmup=400)
-        runner.run(base_config(), sampled)
+        for workload in workloads:
+            runner.run(base_config(), workload)
         main(["analyze", "cpistack", "--cache-dir", str(tmp_path)])
-        out = capsys.readouterr().out
+        return capsys.readouterr().out
+
+    @staticmethod
+    def _sampled(name):
+        from repro.analysis.workloads import workload_by_name
+        from repro.trace.sampling import SamplingPlan
+
+        workload = workload_by_name(name, warm=0, timed=6000)
+        workload.sampling = SamplingPlan(period=2000, sample_length=300, warmup=400)
+        return workload
+
+    def test_cpistack_lists_full_and_sampled_runs(self, tmp_path, capsys):
+        from repro.analysis.workloads import workload_by_name
+
+        out = self._cpistack(
+            tmp_path, capsys,
+            workload_by_name("SPECint95", warm=2000, timed=1000), self._sampled("TPC-C"),
+        )
         assert "2 cached run(s)" in out
         assert "SPECint95@SPARC64-V" in out
         assert "TPC-C@SPARC64-V" in out
 
     def test_cpistack_keeps_full_and_sampled_runs_of_one_point(self, tmp_path, capsys):
-        from repro.analysis import ResultCache
-        from repro.analysis.runner import ExperimentRunner
         from repro.analysis.workloads import workload_by_name
-        from repro.model.config import base_config
-        from repro.trace.sampling import SamplingPlan
 
-        runner = ExperimentRunner()
-        runner.cache = ResultCache(str(tmp_path))
-        runner.run(base_config(), workload_by_name("SPECint95", warm=2000, timed=1000))
-        sampled = workload_by_name("SPECint95", warm=0, timed=6000)
-        sampled.sampling = SamplingPlan(period=2000, sample_length=300, warmup=400)
-        runner.run(base_config(), sampled)
-        runner.run(base_config(), workload_by_name("SPECint95", warm=2000, timed=1200))
-        main(["analyze", "cpistack", "--cache-dir", str(tmp_path)])
-        out = capsys.readouterr().out
+        out = self._cpistack(
+            tmp_path, capsys,
+            workload_by_name("SPECint95", warm=2000, timed=1000),
+            self._sampled("SPECint95"),
+            workload_by_name("SPECint95", warm=2000, timed=1200),
+        )
         assert "3 cached run(s)" in out
         rows = [line.split("  ")[0] for line in out.splitlines()]
         assert sorted(row for row in rows if row.startswith("SPECint95@")) == [
